@@ -16,11 +16,14 @@
 #   5b. trace replay gate: ci/trace_gate.sh records every protocol loop,
 #      replays it from the trace alone, and requires bit-identical results
 #      (plus fault-composition and pitfall probes) at --jobs 1 and 8;
-#   5c. campus shard-invariance gate: ci/campus_gate.sh runs the 1024-AP /
+#   5c. benchmark smoke: `python3 perfbench/run.py --smoke` re-drives a small
+#      campus and checks its digest against CampusSim, then replays a
+#      6-client trace strictly (outage absences, gate decay);
+#   5d. campus shard-invariance gate: ci/campus_gate.sh runs the 1024-AP /
 #      100k-session churn scenario under 1/4/16-shard partitionings and
 #      requires bitwise-identical per-session aggregates across the matrix
 #      and across --jobs 1 vs 8, plus a failing negative baseline;
-#   5d. localization gate: ci/loc_gate.sh surveys the fingerprint database,
+#   5e. localization gate: ci/loc_gate.sh surveys the fingerprint database,
 #      checks the kNN/fused accuracy and mobility-gated-refresh ablation
 #      against ci/loc_baseline.json (exact min == max pairs), diffs the
 #      --jobs 1 vs --jobs 8 reports, proves the negative baseline fails,
@@ -30,7 +33,10 @@
 #   7. ThreadSanitizer build (-DMOBIWLAN_SANITIZE=thread) running the
 #      runtime thread-pool, experiment, and parallel_for tests plus the
 #      campus mailbox stress test (concurrent SPSC producers against a
-#      live consumer).
+#      live consumer);
+#   8. AddressSanitizer + UndefinedBehaviorSanitizer build
+#      (-DMOBIWLAN_SANITIZE=address,undefined) running the trace tests, which
+#      cover TraceSource's pooled CSI payloads and per-stream ring buffers.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -65,6 +71,9 @@ echo "== fault gate: graceful degradation under export loss =="
 echo "== trace gate: record/replay determinism =="
 ./ci/trace_gate.sh
 
+echo "== benchmark smoke: campus re-drive digest + strict trace replay =="
+python3 perfbench/run.py --smoke
+
 echo "== campus gate: shard-invariance across 1/4/16 partitionings =="
 ./ci/campus_gate.sh
 
@@ -93,5 +102,17 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/thread_pool_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/experiment_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/parallel_for_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/mailbox_stress_test
+
+echo "== AddressSanitizer + UBSan: trace tests =="
+cmake -B build-asan -S . -DMOBIWLAN_SANITIZE=address,undefined \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS="-fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS" \
+  >/dev/null
+ASAN_TESTS=(trace_io_test trace_source_test trace_replay_test trace_prop_test)
+cmake --build build-asan -j"${JOBS}" --target "${ASAN_TESTS[@]}"
+for t in "${ASAN_TESTS[@]}"; do
+  ASAN_OPTIONS="detect_leaks=1" UBSAN_OPTIONS="print_stacktrace=1" \
+    ./build-asan/tests/"${t}"
+done
 
 echo "== all checks passed =="

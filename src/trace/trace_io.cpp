@@ -1,5 +1,6 @@
 #include "trace/trace_io.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 
@@ -296,6 +297,16 @@ void TraceReader::load_chunk() {
       bytes < count * kRecordHeadBytes)
     throw TraceError(TraceError::Code::kCorruptRecord,
                      "implausible chunk header: " + path_);
+  if (chunk_.capacity() < bytes) {
+    // Writer chunks stop at the first record that crosses kChunkBytes, so
+    // one buffer that holds that worst case serves every later chunk too:
+    // steady-state reads never reallocate it.
+    const std::size_t widest = kRecordHeadBytes +
+                               std::max<std::size_t>(
+                                   8, header_.csi_values() *
+                                          sizeof(std::complex<double>));
+    chunk_.reserve(std::max<std::size_t>(bytes, kChunkBytes - 1 + widest));
+  }
   chunk_.resize(bytes);
   if (std::fread(chunk_.data(), 1, bytes, f_) != bytes)
     throw TraceError(TraceError::Code::kTruncated,

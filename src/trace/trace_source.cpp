@@ -23,21 +23,60 @@ TraceSource::Stream& TraceSource::stream(StreamKind kind, std::uint32_t unit) {
   return streams_[static_cast<std::size_t>(kind) * header().n_units + unit];
 }
 
+void TraceSource::Ring::push_back(const Entry& e) {
+  if (size_ == buf_.size()) {
+    // Full (or never used): unroll into a buffer twice the size.
+    std::vector<Entry> grown(buf_.empty() ? 8 : 2 * buf_.size());
+    for (std::size_t i = 0; i < size_; ++i)
+      grown[i] = buf_[(head_ + i) & (buf_.size() - 1)];
+    buf_ = std::move(grown);
+    head_ = 0;
+  }
+  buf_[(head_ + size_) & (buf_.size() - 1)] = e;
+  ++size_;
+}
+
+std::uint32_t TraceSource::acquire_slot() {
+  if (free_.empty()) {
+    pool_.emplace_back();
+    // Every slot can be free at once; reserving now keeps the release path
+    // (make_current) allocation-free.
+    free_.reserve(pool_.size());
+    return static_cast<std::uint32_t>(pool_.size() - 1);
+  }
+  const std::uint32_t slot = free_.back();
+  free_.pop_back();
+  return slot;
+}
+
+void TraceSource::make_current(Stream& s, const Entry& e) {
+  if (s.have_current && s.current.slot != kNoSlot)
+    free_.push_back(s.current.slot);
+  s.current = e;
+  s.have_current = true;
+}
+
 void TraceSource::pump(Stream& s, double t) {
-  const double horizon = t + config_.skew_tol_s;
-  while (!reader_done_ &&
-         (s.pending.empty() || s.pending.back().t <= horizon)) {
+  const double floor = t - config_.skew_tol_s;
+  while (!reader_done_ && (s.pending.empty() || s.pending.back().t < floor)) {
     if (!reader_.next(scratch_)) {
       reader_done_ = true;
       break;
     }
     if ((config_.ignore_mask & stream_bit(scratch_.kind)) != 0) continue;
-    stream(scratch_.kind, scratch_.unit).pending.push_back(scratch_);
+    Entry e{scratch_.t, scratch_.scalar, kNoSlot, scratch_.present};
+    if (e.present && is_matrix_kind(scratch_.kind)) {
+      // Hand the decoded matrix to the pool and take a recycled buffer (of
+      // the same geometry once warm) as the next decode target: no copy.
+      e.slot = acquire_slot();
+      std::swap(pool_[e.slot], scratch_.csi);
+    }
+    stream(scratch_.kind, scratch_.unit).pending.push_back(e);
   }
 }
 
-const TraceRecord* TraceSource::fetch(StreamKind kind, std::uint32_t unit,
-                                      double t) {
+const TraceSource::Entry* TraceSource::fetch(StreamKind kind,
+                                             std::uint32_t unit, double t) {
   Stream& s = stream(kind, unit);
   pump(s, t);
   const double tol = config_.skew_tol_s;
@@ -52,10 +91,7 @@ const TraceRecord* TraceSource::fetch(StreamKind kind, std::uint32_t unit,
                            std::to_string(s.pending.front().t));
     }
     ++counters_.skipped;
-    if (s.pending.front().present) {
-      s.current = std::move(s.pending.front());
-      s.have_current = true;
-    }
+    if (s.pending.front().present) make_current(s, s.pending.front());
     s.pending.pop_front();
   }
   if (!s.pending.empty() && s.pending.front().t <= t + tol) {
@@ -66,8 +102,7 @@ const TraceRecord* TraceSource::fetch(StreamKind kind, std::uint32_t unit,
       ++counters_.absent;
       return nullptr;
     }
-    s.current = std::move(s.pending.front());
-    s.have_current = true;
+    make_current(s, s.pending.front());
     s.pending.pop_front();
     ++counters_.served;
     return &s.current;
@@ -91,7 +126,7 @@ const TraceRecord* TraceSource::fetch(StreamKind kind, std::uint32_t unit,
 std::optional<double> TraceSource::fetch_scalar(StreamKind kind,
                                                 std::uint32_t unit, double t) {
   if (!has(kind)) return std::nullopt;
-  const TraceRecord* rec = fetch(kind, unit, t);
+  const Entry* rec = fetch(kind, unit, t);
   if (!rec) return std::nullopt;
   return rec->scalar;
 }
@@ -99,9 +134,9 @@ std::optional<double> TraceSource::fetch_scalar(StreamKind kind,
 bool TraceSource::fetch_csi(StreamKind kind, std::uint32_t unit, double t,
                             CsiMatrix& out) {
   if (!has(kind)) return false;
-  const TraceRecord* rec = fetch(kind, unit, t);
+  const Entry* rec = fetch(kind, unit, t);
   if (!rec) return false;
-  out = rec->csi;
+  out = pool_[rec->slot];
   return true;
 }
 
@@ -141,7 +176,7 @@ std::optional<double> TraceSource::true_distance(std::uint32_t unit,
 
 bool TraceSource::feedback_delivered(std::uint32_t unit, double t) {
   if (!has(StreamKind::kFeedbackOk)) return true;
-  const TraceRecord* rec = fetch(StreamKind::kFeedbackOk, unit, t);
+  const Entry* rec = fetch(StreamKind::kFeedbackOk, unit, t);
   return rec == nullptr || rec->scalar != 0.0;
 }
 

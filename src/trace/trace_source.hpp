@@ -4,9 +4,21 @@
 // walks each log with a cursor: every query consumes exactly one in-tolerance
 // record from its stream (duplicate timestamps are legal — a roaming scan
 // reads the same AP twice at one instant — and are served in log order).
-// Records are decoded from the file strictly forward in one pass, so replay
-// streams in memory bounded by how far the interleaved consumers drift apart,
-// never by trace length.
+//
+// Records are decoded from the file strictly forward in one pass, each one
+// once. A query at time t decodes only until its own stream holds a record
+// at or after t - skew_tol_s: the records before that one are exactly those
+// the query skips, and that one is the only candidate match, so no answer
+// depends on reading further. The reader is thus never further into the
+// file than the furthest-ahead consumer needs, and each stream's backlog is
+// the records logged between its own consumer's position and that point.
+// Replay memory is bounded by how far the interleaved consumers drift apart
+// (for a time-ordered recording, the records of that time span), never by
+// trace length or by gaps in a stream. A pending record costs one compact
+// entry; a CSI payload additionally occupies one pooled CsiMatrix from
+// decode until its record stops being its stream's current value, and the
+// buffer is then recycled. Once every backlog has reached its peak size,
+// replay allocates nothing.
 //
 // The arXiv 2002.03905 trace-replay pitfalls map to explicit behavior here:
 //
@@ -25,8 +37,8 @@
 //                      consumer from a trace lacking its observables.
 #pragma once
 
-#include <deque>
-#include <memory>
+#include <cstdint>
+#include <vector>
 
 #include "trace/source.hpp"
 #include "trace/trace_io.hpp"
@@ -88,19 +100,60 @@ class TraceSource : public ObservableSource {
   const Counters& counters() const { return counters_; }
 
  private:
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
+  /// One decoded record of a known stream. A present matrix record's
+  /// payload is pool_[slot]; scalar and absence records own no slot.
+  struct Entry {
+    double t = 0.0;
+    double scalar = 0.0;
+    std::uint32_t slot = kNoSlot;
+    bool present = true;
+  };
+
+  /// FIFO of entries in one power-of-two buffer that doubles when full and
+  /// never shrinks: once it has held a stream's peak backlog, push and pop
+  /// never allocate (a std::deque frees and refetches a node every time its
+  /// front block drains).
+  class Ring {
+   public:
+    bool empty() const { return size_ == 0; }
+    const Entry& front() const { return buf_[head_]; }
+    const Entry& back() const {
+      return buf_[(head_ + size_ - 1) & (buf_.size() - 1)];
+    }
+    void pop_front() {
+      head_ = (head_ + 1) & (buf_.size() - 1);
+      --size_;
+    }
+    void push_back(const Entry& e);
+
+   private:
+    std::vector<Entry> buf_;
+    std::size_t head_ = 0;  // index of the oldest entry
+    std::size_t size_ = 0;
+  };
+
   struct Stream {
-    std::deque<TraceRecord> pending;  // decoded, not yet consumed
-    TraceRecord current;              // last consumed record
+    Ring pending;  // decoded, not yet consumed
+    Entry current;  // last consumed present record
     bool have_current = false;
   };
 
   Stream& stream(StreamKind kind, std::uint32_t unit);
-  /// Decodes records forward until `s` can answer a query at time t (it holds
-  /// a record with timestamp > t + tol) or the file ends.
+  /// Decodes records forward until `s` holds a record at or after
+  /// t - skew_tol_s, or the file ends. Streams are timestamp-monotone, so
+  /// the records fetch() skips and the one it matches are all decoded by
+  /// then; every other stream's records met on the way queue as its backlog.
   void pump(Stream& s, double t);
   /// Consumes and returns the record matching (kind, unit, t), nullptr on an
-  /// uncovered miss. Throws kTimestampSkew per the strictness contract.
-  const TraceRecord* fetch(StreamKind kind, std::uint32_t unit, double t);
+  /// uncovered miss. Throws kTimestampSkew per the strictness contract. The
+  /// returned entry (and its payload) stays valid until the next query.
+  const Entry* fetch(StreamKind kind, std::uint32_t unit, double t);
+  /// Makes `e` the stream's current record, recycling the payload slot of
+  /// the record it replaces.
+  void make_current(Stream& s, const Entry& e);
+  std::uint32_t acquire_slot();
   std::optional<double> fetch_scalar(StreamKind kind, std::uint32_t unit,
                                      double t);
   bool fetch_csi(StreamKind kind, std::uint32_t unit, double t,
@@ -109,8 +162,10 @@ class TraceSource : public ObservableSource {
   TraceReader reader_;
   Config config_;
   Counters counters_;
-  std::vector<Stream> streams_;  // [kind * n_units + unit]
-  TraceRecord scratch_;          // decode target before routing
+  std::vector<Stream> streams_;      // [kind * n_units + unit]
+  std::vector<CsiMatrix> pool_;      // matrix payloads, indexed by slot
+  std::vector<std::uint32_t> free_;  // unowned pool_ slots (LIFO)
+  TraceRecord scratch_;              // decode target before routing
   bool reader_done_ = false;
 };
 

@@ -1,7 +1,9 @@
 // Tests for the ObservableSource hierarchy: TraceSource replay semantics
 // (strict skew detection, relaxed hold-then-decay, recorded-absence replay,
-// counters, stream gating), RecordingSource tee behaviour, and FaultedSource
-// composition over a replayed trace.
+// counters, stream gating, the allocation-free steady state), RecordingSource
+// tee behaviour, and FaultedSource composition over a replayed trace. This
+// binary links mobiwlan_alloc_hook so the steady-state test can count heap
+// allocations.
 #include "trace/trace_source.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +14,7 @@
 #include "chan/scenario.hpp"
 #include "trace/source.hpp"
 #include "trace/trace_io.hpp"
+#include "util/alloc_count.hpp"
 
 namespace mobiwlan::trace {
 namespace {
@@ -184,6 +187,123 @@ TEST(TraceSourceTest, StrongestUnitIsFirstWinsArgmax) {
   TraceSource src(path);
   EXPECT_EQ(src.strongest_unit(0.0), 1u);
   std::remove(path.c_str());
+}
+
+// ---- Steady-state allocations ----------------------------------------------
+
+// A crowd-shaped trace at the paper's 3x2x52 geometry. Each epoch logs, kind
+// by kind, every unit's RSSI, then two CSI reads per unit at the same instant
+// (two APs hearing it: duplicate timestamps), then five ToF reads per unit.
+// The consumer walks unit by unit, so other units' records queue while it
+// reads. Unit 1 goes dark for epochs [kGapBegin, kGapEnd): its RSSI is
+// recorded absent and its CSI stream has a multi-epoch gap.
+constexpr std::uint32_t kCrowdUnits = 3;
+constexpr int kCrowdEpochs = 64;
+constexpr int kCsiPerEpoch = 2;
+constexpr int kTofPerEpoch = 5;
+constexpr int kGapBegin = 30;
+constexpr int kGapEnd = 36;
+
+double epoch_time(int e) { return 0.5 * e; }
+double tof_time(int e, int i) { return epoch_time(e) + 0.02 * i; }
+bool dark(std::uint32_t unit, int e) {
+  return unit == 1 && e >= kGapBegin && e < kGapEnd;
+}
+
+struct CrowdTrace {
+  std::string path;
+  std::uint64_t present = 0;
+  std::uint64_t absent = 0;
+};
+
+CrowdTrace write_crowd_trace(const char* name) {
+  CrowdTrace out{tmp(name)};
+  TraceHeader h;
+  h.stream_mask = stream_bit(StreamKind::kCsi) |
+                  stream_bit(StreamKind::kRssi) | stream_bit(StreamKind::kTof);
+  h.n_units = kCrowdUnits;
+  h.n_tx = 3;
+  h.n_rx = 2;
+  h.n_sc = 52;
+  TraceWriter writer(out.path, h);
+  CsiMatrix csi(h.n_tx, h.n_rx, h.n_sc);
+  for (int e = 0; e < kCrowdEpochs; ++e) {
+    const double t = epoch_time(e);
+    for (std::uint32_t u = 0; u < kCrowdUnits; ++u) {
+      if (dark(u, e)) {
+        writer.put_absent(StreamKind::kRssi, u, t);
+        ++out.absent;
+      } else {
+        writer.put_scalar(StreamKind::kRssi, u, t, -50.0 - u - 0.01 * e);
+        ++out.present;
+      }
+    }
+    for (std::uint32_t u = 0; u < kCrowdUnits; ++u) {
+      if (dark(u, e)) continue;
+      for (int k = 0; k < kCsiPerEpoch; ++k) {
+        for (std::size_t v = 0; v < csi.raw().size(); ++v)
+          csi.raw()[v] = cplx(e + 0.001 * v, u + 0.1 * k);
+        writer.put_csi(StreamKind::kCsi, u, t, csi);
+        ++out.present;
+      }
+    }
+    for (std::uint32_t u = 0; u < kCrowdUnits; ++u) {
+      for (int i = 0; i < kTofPerEpoch; ++i) {
+        writer.put_scalar(StreamKind::kTof, u, tof_time(e, i), 400.0 + e + i);
+        ++out.present;
+      }
+    }
+  }
+  writer.close();
+  return out;
+}
+
+/// Reads one epoch the way the localization replay does: per unit its RSSI,
+/// the CSI of each hearing AP when it was heard, then its ToF readings.
+/// Returns the number of reads that came back other than recorded.
+int replay_crowd_epoch(TraceSource& src, int e, CsiMatrix& csi) {
+  const double t = epoch_time(e);
+  int wrong = 0;
+  for (std::uint32_t u = 0; u < kCrowdUnits; ++u) {
+    const bool heard = src.rssi_dbm(u, t).has_value();
+    if (heard == dark(u, e)) ++wrong;
+    if (heard) {
+      for (int k = 0; k < kCsiPerEpoch; ++k) {
+        if (!src.csi(u, t, csi) || csi.raw()[0] != cplx(e, u + 0.1 * k))
+          ++wrong;
+      }
+    }
+    for (int i = 0; i < kTofPerEpoch; ++i)
+      if (src.tof_cycles(u, tof_time(e, i)) != 400.0 + e + i) ++wrong;
+  }
+  return wrong;
+}
+
+TEST(TraceSourceTest, SteadyStateReplayIsAllocationFree) {
+  ASSERT_TRUE(alloc_hook_active())
+      << "link mobiwlan_alloc_hook or the steady-state assertion is vacuous";
+  const CrowdTrace trace = write_crowd_trace("src_zero_alloc.mwtr");
+  TraceSource src(trace.path);  // strict
+  CsiMatrix csi;
+  // Warm-up: the stream rings, the payload pool, the reader's chunk buffer
+  // and `csi` reach their steady sizes.
+  constexpr int kWarmEpochs = 8;
+  int wrong = 0;
+  for (int e = 0; e < kWarmEpochs; ++e) wrong += replay_crowd_epoch(src, e, csi);
+
+  // The measured epochs span the gap and the chunk boundaries after it.
+  const std::uint64_t before = alloc_count();
+  for (int e = kWarmEpochs; e < kCrowdEpochs; ++e)
+    wrong += replay_crowd_epoch(src, e, csi);
+  const std::uint64_t allocs = alloc_count() - before;
+
+  EXPECT_EQ(allocs, 0u) << "strict replay allocated after warm-up";
+  EXPECT_EQ(wrong, 0);
+  EXPECT_EQ(src.counters().served, trace.present);
+  EXPECT_EQ(src.counters().absent, trace.absent);
+  EXPECT_EQ(src.counters().missing, 0u);
+  EXPECT_EQ(src.counters().skipped, 0u);
+  std::remove(trace.path.c_str());
 }
 
 // ---- RecordingSource -------------------------------------------------------
