@@ -41,6 +41,14 @@ std::shared_ptr<const Trajectory> trajectory_for(MobilityMode mode, Rng& rng,
       if (nearest >= corridor_len) away = -1.0;
       return std::make_shared<LinearTrajectory>(start, Vec2{away, 0.05}, 1.2);
     }
+    case MobilityMode::kMacroOrbit: {
+      // Circle the nearest AP at the starting distance. The figure's sweep
+      // leaves this mode out: the paper's roaming study has no AoA.
+      const Vec2 ap{std::round(start.x / kSpacing) * kSpacing, 0.0};
+      const Vec2 off{start.x - ap.x, start.y - ap.y};
+      return std::make_shared<CircularTrajectory>(
+          ap, std::hypot(off.x, off.y), 1.2, std::atan2(off.y, off.x));
+    }
   }
   return std::make_shared<StaticTrajectory>(start);
 }

@@ -383,6 +383,20 @@ int run_perf(const Options& opt) {
       out << buf;
     }
   }
+  // The beamscan's active-tier speedup over its own scalar tier, measured
+  // back to back on this host (ci/perf_gate.sh gates it on AVX2+ hosts).
+  const auto ns_of = [&](const char* name) {
+    for (const PerfResult& r : results)
+      if (r.name == name) return r.ns_per_op;
+    return 0.0;
+  };
+  const double aoa_ns = ns_of("aoa_sweep");
+  const double aoa_scalar_ns = ns_of("aoa_sweep_scalar");
+  if (aoa_ns > 0.0 && aoa_scalar_ns > 0.0) {
+    std::snprintf(buf, sizeof buf, "  \"timing_aoa_tier_speedup\": %.2f,\n",
+                  aoa_scalar_ns / aoa_ns);
+    out << buf;
+  }
   // Host-capability and tier provenance, quarantined on timing_* keys (the
   // same convention the determinism diffs filter on), so perf baselines are
   // comparable across hosts.

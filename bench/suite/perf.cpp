@@ -112,6 +112,13 @@ struct PrecisionGuard {
   ~PrecisionGuard() { simd::set_forced_precision(-1); }
 };
 
+/// Restores the SIMD tier override on scope exit (the scalar-tier case must
+/// not leak its override into later cases or the gate run).
+struct TierGuard {
+  explicit TierGuard(int tier) { simd::set_forced_tier(tier); }
+  ~TierGuard() { simd::set_forced_tier(-1); }
+};
+
 /// Batched noiseless synthesis through ChannelBatch — the engine the scale
 /// runs and the classifier driver sit on, at the paper's 3x2x52 layout.
 /// `precision` pins the plane tier: 0 = fp64 (the default contract),
@@ -140,18 +147,31 @@ PerfResult run_batch_synthesis_f32(double min_time_s) {
   return run_batch_synthesis_tier("batch_synthesis_f32", min_time_s, 1);
 }
 
-PerfResult run_aoa_sweep(double min_time_s) {
-  // One full 181-point beamscan over a fixed CSI snapshot — the estimator
-  // the localization fusion path calls per serving-AP observation. Holds
-  // the steering-vector hoist honest: the per-grid-point work must stay
-  // one complex multiply-accumulate per (tx, rx, subcarrier), not a
-  // std::polar in the inner loop.
+/// One full 181-point beamscan over a fixed CSI snapshot — the estimator
+/// the localization fusion path calls per serving-AP observation. Holds the
+/// cached steering table honest: the per-grid-point work must stay one
+/// complex multiply-accumulate per (tx, rx, subcarrier), not a std::polar
+/// in the inner loop. `tier` pins the SIMD tier of the scan only (-1 = the
+/// host default); the snapshot is synthesized before the override.
+PerfResult run_aoa_sweep_tier(const char* name, double min_time_s, int tier) {
   auto ch = perf_channel();
   const CsiMatrix csi = ch->csi_at(0.0);
-  return measure("aoa_sweep", min_time_s, [&] {
+  TierGuard guard(tier);
+  return measure(name, min_time_s, [&] {
     AoaEstimate est = estimate_aoa(csi);
     asm volatile("" : : "r"(&est) : "memory");
   });
+}
+
+PerfResult run_aoa_sweep(double min_time_s) {
+  return run_aoa_sweep_tier("aoa_sweep", min_time_s, -1);
+}
+
+/// The same scan on the portable 8-lane loop. Its ratio to aoa_sweep
+/// (timing_aoa_tier_speedup) is what ci/perf_gate.sh gates: both cases run
+/// on the same host, so the floor means the same thing on every host.
+PerfResult run_aoa_sweep_scalar(double min_time_s) {
+  return run_aoa_sweep_tier("aoa_sweep_scalar", min_time_s, 0);
 }
 
 PerfResult run_csi_similarity(double min_time_s) {
@@ -250,6 +270,9 @@ const std::vector<PerfCaseDef>& perf_registry() {
        run_batch_synthesis_f32},
       {"aoa_sweep", "181-point beamscan AoA estimate on a fixed CSI snapshot",
        run_aoa_sweep},
+      {"aoa_sweep_scalar",
+       "the aoa_sweep beamscan forced onto the portable scalar tier",
+       run_aoa_sweep_scalar},
       {"csi_similarity", "4-pair Pearson CSI similarity with scratch buffers",
        run_csi_similarity},
       {"classifier_csi_step", "MobilityClassifier::on_csi steady-state step",

@@ -36,7 +36,9 @@
 #      live consumer);
 #   8. AddressSanitizer + UndefinedBehaviorSanitizer build
 #      (-DMOBIWLAN_SANITIZE=address,undefined) running the trace tests, which
-#      cover TraceSource's pooled CSI payloads and per-stream ring buffers.
+#      cover TraceSource's pooled CSI payloads and per-stream ring buffers,
+#      and the beamscan AoA test, whose tier sweep drives every SIMD kernel
+#      through partial blocks and the padded steering table.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -103,12 +105,13 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/experiment_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/parallel_for_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/mailbox_stress_test
 
-echo "== AddressSanitizer + UBSan: trace tests =="
+echo "== AddressSanitizer + UBSan: trace and beamscan tests =="
 cmake -B build-asan -S . -DMOBIWLAN_SANITIZE=address,undefined \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS" \
   >/dev/null
-ASAN_TESTS=(trace_io_test trace_source_test trace_replay_test trace_prop_test)
+ASAN_TESTS=(trace_io_test trace_source_test trace_replay_test trace_prop_test
+           aoa_test)
 cmake --build build-asan -j"${JOBS}" --target "${ASAN_TESTS[@]}"
 for t in "${ASAN_TESTS[@]}"; do
   ASAN_OPTIONS="detect_leaks=1" UBSAN_OPTIONS="print_stacktrace=1" \

@@ -9,6 +9,8 @@
 #      clients), gating the batched sample time, the batch-vs-per-link
 #      speedup floor, and the zero-allocation steady state. The bench also
 #      enforces batched-vs-per-link agreement on every run.
+# Two host-relative floors follow: the fp32-vs-fp64 batched synthesis ratio
+# and the beamscan AoA's active-tier-vs-scalar ratio.
 # The gate values are wall-clock numbers from one reference host; the
 # tolerance absorbs normal host-to-host and run-to-run variance, so a
 # failure means a real regression, not noise. Refresh after an intentional
@@ -73,6 +75,34 @@ else
   else
     echo "FAIL: fp32 batched synthesis speedup ${SPEEDUP}x below the" \
          "${MIN_SPEEDUP}x floor (ci/perf_baseline.json gate_f32_min_speedup)" >&2
+    exit 1
+  fi
+fi
+
+# ---- beamscan AoA tier section ---------------------------------------------
+# The --perf run above times the 181-point beamscan at the host's active
+# tier (aoa_sweep) and pinned to the portable scalar tier (aoa_sweep_scalar)
+# and publishes their ratio. Whenever the active tier is a vector one (an
+# AVX2-capable host, not forced to scalar) that ratio must clear
+# gate_aoa_min_speedup; otherwise both cases run the same scalar loop and the
+# check is skipped LOUDLY rather than silently passing.
+AOA_TIER="$(flat_key "${OUT}" timing_active_simd_tier)"
+if [[ "${AOA_TIER}" != "1" && "${AOA_TIER}" != "2" ]]; then
+  echo "aoa-check: SKIPPED — active SIMD tier is scalar (host lacks AVX2+FMA" \
+       "or MOBIWLAN_SIMD_TIER forces it); the >=1.5x beamscan tier-speedup" \
+       "gate does not apply to the scalar tier" >&2
+else
+  AOA_SPEEDUP="$(flat_key "${OUT}" timing_aoa_tier_speedup)"
+  AOA_MIN="$(flat_key ci/perf_baseline.json gate_aoa_min_speedup)"
+  if [[ -z "${AOA_SPEEDUP}" || -z "${AOA_MIN}" ]]; then
+    echo "FAIL: beamscan tier-speedup keys missing (perf json ${OUT})" >&2
+    exit 1
+  fi
+  if awk -v s="${AOA_SPEEDUP}" -v m="${AOA_MIN}" 'BEGIN { exit !(s >= m) }'; then
+    echo "aoa-check: beamscan active-tier speedup ${AOA_SPEEDUP}x >= ${AOA_MIN}x over scalar"
+  else
+    echo "FAIL: beamscan active-tier speedup ${AOA_SPEEDUP}x below the" \
+         "${AOA_MIN}x floor (ci/perf_baseline.json gate_aoa_min_speedup)" >&2
     exit 1
   fi
 fi

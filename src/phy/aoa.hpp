@@ -7,6 +7,13 @@
 // (and by channel reciprocity the uplink arrival angle equals it): this
 // module recovers the dominant angle with a beamscan over the array
 // steering vectors, averaged across subcarriers and client chains.
+//
+// The scan is SIMD-vectorized across grid points (8 angles per block on
+// every tier) against a cached steering table, and stays bit-identical to
+// the one-angle std::complex scan on every tier: each lane repeats the
+// scalar operation sequence with no FMA, the sum and argmax run serially
+// in grid order, and NaN lanes are recomputed through std::complex. It
+// never allocates. See DESIGN.md §5 "Beamscan AoA".
 #pragma once
 
 #include "phy/csi.hpp"

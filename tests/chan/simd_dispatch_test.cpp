@@ -59,7 +59,9 @@ TEST(SimdDispatchTest, EnvVarForcesScalarWhenNoOverride) {
   const char* env = std::getenv("MOBIWLAN_FORCE_SCALAR");
   const bool env_forced = env && *env && !(env[0] == '0' && env[1] == '\0');
   EXPECT_EQ(simd::force_scalar(), env_forced);
-  if (env_forced) EXPECT_FALSE(simd::use_avx2fma());
+  if (env_forced) {
+    EXPECT_FALSE(simd::use_avx2fma());
+  }
 }
 
 /// Restores the tier override on exit (the three-way generalization of

@@ -3,11 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numbers>
+#include <string>
 
 #include "chan/scenario.hpp"
+#include "util/alloc_count.hpp"
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 
 namespace mobiwlan {
 namespace {
@@ -83,10 +89,13 @@ TEST(AoaTest, TinyScaleCsiStillEstimates) {
   EXPECT_GT(est.peak_ratio, 1.5);
 }
 
-/// The pre-hoist estimator, kept verbatim as a reference: the conjugated
-/// steering phasor is recomputed by std::polar inside the per-(subcarrier,
-/// rx) accumulation. The production hoist is pure loop-invariant code
-/// motion, so its output must be bitwise identical to this.
+/// The pre-hoist estimator, kept as a reference: the conjugated steering
+/// phasor is recomputed by std::polar inside the per-(subcarrier, rx)
+/// accumulation, one grid point at a time. The production hoist is pure
+/// loop-invariant code motion and its SIMD lanes repeat this operation
+/// sequence per grid point, so its output must be bitwise identical to this.
+/// The only later addition is the no-power guard at the end (NaN angle,
+/// zero ratio), copied from production so degenerate inputs compare too.
 AoaEstimate reference_estimate_aoa(const CsiMatrix& csi, int grid_points = 181) {
   AoaEstimate best;
   if (csi.empty() || grid_points < 2) return best;
@@ -112,7 +121,13 @@ AoaEstimate reference_estimate_aoa(const CsiMatrix& csi, int grid_points = 181) 
       best.angle_rad = theta;
     }
   }
-  best.peak_ratio = best_power / (power_sum / grid_points);
+  const double mean_power = power_sum / grid_points;
+  if (mean_power > 0.0) {
+    best.peak_ratio = best_power / mean_power;
+  } else {
+    best.angle_rad = std::numeric_limits<double>::quiet_NaN();
+    best.peak_ratio = 0.0;
+  }
   return best;
 }
 
@@ -147,6 +162,102 @@ TEST(AoaTest, WideArrayFallbackBitwiseMatchesReference) {
   const AoaEstimate ref = reference_estimate_aoa(csi);
   EXPECT_EQ(fast.angle_rad, ref.angle_rad);
   EXPECT_EQ(fast.peak_ratio, ref.peak_ratio);
+}
+
+/// Restores the SIMD tier override on scope exit.
+struct TierGuard {
+  explicit TierGuard(int tier) { simd::set_forced_tier(tier); }
+  ~TierGuard() { simd::set_forced_tier(-1); }
+};
+
+enum class CsiKind { kRandom, kSinglePath, kZero, kInf, kInfBoth, kNan };
+
+const char* kind_name(CsiKind kind) {
+  switch (kind) {
+    case CsiKind::kRandom: return "random";
+    case CsiKind::kSinglePath: return "single-path";
+    case CsiKind::kZero: return "zero";
+    case CsiKind::kInf: return "inf";
+    case CsiKind::kInfBoth: return "inf+inf";
+    case CsiKind::kNan: return "nan";
+  }
+  return "?";
+}
+
+/// Sweep inputs. The non-finite kinds plant one bad entry in random CSI:
+/// (inf, 0) mid-matrix, (NaN, 0) mid-matrix, and (inf, inf) on tx 0, whose
+/// (1, -0) steering phasor sends the complex multiply through __muldc3's
+/// infinity recovery — a lane formula alone would report NaN there.
+CsiMatrix sweep_csi(CsiKind kind, std::size_t n_tx, std::size_t n_rx,
+                    std::size_t n_sc, Rng& rng) {
+  if (kind == CsiKind::kSinglePath) return single_path_csi(1.1, n_tx, n_rx, n_sc);
+  CsiMatrix csi(n_tx, n_rx, n_sc);
+  if (kind == CsiKind::kZero) return csi;
+  for (auto& v : csi.raw()) v = rng.complex_gaussian(1.0);
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  auto& mid = csi.raw()[csi.raw().size() / 2];
+  if (kind == CsiKind::kInf) mid = cplx{inf, 0.0};
+  if (kind == CsiKind::kNan)
+    mid = cplx{std::numeric_limits<double>::quiet_NaN(), 0.0};
+  if (kind == CsiKind::kInfBoth) csi.at(0, n_rx - 1, n_sc / 2) = cplx{inf, inf};
+  return csi;
+}
+
+TEST(AoaTest, EveryTierBitwiseMatchesReference) {
+  // Lanes run across grid points, so the sweep covers grids shorter than,
+  // equal to, and straddling the 8-point block and the cached 181 table,
+  // arrays up to the 16-tx hoist cap and one past it, and every input kind.
+  Rng rng(17);
+  int cases = 0;
+  for (const int grid : {2, 3, 7, 8, 9, 180, 181, 182, 360})
+    for (const std::size_t n_tx : {1, 2, 3, 4, 16, 17})
+      for (const std::size_t n_rx : {1, 2})
+        for (const std::size_t n_sc : {1, 52})
+          for (const CsiKind kind :
+               {CsiKind::kRandom, CsiKind::kSinglePath, CsiKind::kZero,
+                CsiKind::kInf, CsiKind::kInfBoth, CsiKind::kNan}) {
+            const CsiMatrix csi = sweep_csi(kind, n_tx, n_rx, n_sc, rng);
+            const AoaEstimate ref = reference_estimate_aoa(csi, grid);
+            for (const int tier : {0, 1, 2}) {
+              TierGuard guard(tier);
+              const AoaEstimate got = estimate_aoa(csi, grid);
+              const std::string where =
+                  std::string(simd::tier_name(simd::active_tier())) +
+                  " grid " + std::to_string(grid) + " " +
+                  std::to_string(n_tx) + "x" + std::to_string(n_rx) + "x" +
+                  std::to_string(n_sc) + " " + kind_name(kind);
+              ASSERT_EQ(std::bit_cast<std::uint64_t>(got.angle_rad),
+                        std::bit_cast<std::uint64_t>(ref.angle_rad))
+                  << where;
+              ASSERT_EQ(std::bit_cast<std::uint64_t>(got.peak_ratio),
+                        std::bit_cast<std::uint64_t>(ref.peak_ratio))
+                  << where;
+              ++cases;
+            }
+          }
+  EXPECT_EQ(cases, 9 * 6 * 2 * 2 * 6 * 3);
+}
+
+TEST(AoaTest, ZeroAllocationsFromFirstCall) {
+  // The default grid's steering table is a function-local static and every
+  // other scratch lives on the stack: not even the first call (which builds
+  // the table) may touch the heap, on any tier or grid.
+  ASSERT_TRUE(alloc_hook_active());
+  Rng rng(23);
+  const CsiMatrix csi = sweep_csi(CsiKind::kRandom, 3, 2, 52, rng);
+  const CsiMatrix wide = sweep_csi(CsiKind::kRandom, 17, 1, 8, rng);
+  const CsiMatrix bad = sweep_csi(CsiKind::kInfBoth, 3, 2, 52, rng);
+  const std::uint64_t before = alloc_count();
+  for (const int tier : {2, 1, 0}) {
+    TierGuard guard(tier);
+    for (const int grid : {181, 7, 360}) {
+      estimate_aoa(csi, grid);
+      estimate_aoa(wide, grid);
+      estimate_aoa(bad, grid);
+    }
+  }
+  const std::uint64_t after = alloc_count();
+  EXPECT_EQ(after - before, 0u);
 }
 
 TEST(AoaTest, TracksLosDirectionOnSimulatedChannel) {

@@ -98,11 +98,15 @@ TEST(FaultProperty, SamePlanIsReproducibleAcrossObservers) {
       const auto ta = oa.tof_cycles(t);
       const auto tb = ob.tof_cycles(t);
       ASSERT_EQ(ta.has_value(), tb.has_value());
-      if (ta) ASSERT_EQ(*ta, *tb);
+      if (ta) {
+        ASSERT_EQ(*ta, *tb);
+      }
       const auto ra = oa.rssi_dbm(t);
       const auto rb = ob.rssi_dbm(t);
       ASSERT_EQ(ra.has_value(), rb.has_value());
-      if (ra) ASSERT_EQ(*ra, *rb);
+      if (ra) {
+        ASSERT_EQ(*ra, *rb);
+      }
       ASSERT_EQ(oa.feedback_delivered(t), ob.feedback_delivered(t));
     }
     // drop_prob <= 0.6 over >= 20 samples: statistically impossible to lose
