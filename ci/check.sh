@@ -105,13 +105,13 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/experiment_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/parallel_for_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/mailbox_stress_test
 
-echo "== AddressSanitizer + UBSan: trace and beamscan tests =="
+echo "== AddressSanitizer + UBSan: trace, beamscan and locator tests =="
 cmake -B build-asan -S . -DMOBIWLAN_SANITIZE=address,undefined \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS" \
   >/dev/null
 ASAN_TESTS=(trace_io_test trace_source_test trace_replay_test trace_prop_test
-           aoa_test)
+           aoa_test loc_test loc_prop_test locator_tier_test)
 cmake --build build-asan -j"${JOBS}" --target "${ASAN_TESTS[@]}"
 for t in "${ASAN_TESTS[@]}"; do
   ASAN_OPTIONS="detect_leaks=1" UBSAN_OPTIONS="print_stacktrace=1" \

@@ -159,6 +159,9 @@ void FingerprintDb::rebuild_postings() {
           static_cast<std::uint32_t>(cell));
     }
   }
+  max_posting_ = 0;
+  for (const auto& p : postings_)
+    max_posting_ = std::max(max_posting_, p.size());
 }
 
 void FingerprintDb::refresh(std::size_t cell, const float* query_row,

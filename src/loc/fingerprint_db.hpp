@@ -85,19 +85,19 @@ class FingerprintDb {
     return &rssi_[cell * n_aps()];
   }
   /// Transposed coarse plane: one AP's RSSI over every cell, contiguous.
-  /// The coarse lookup stage scans one 4*n_cells()-byte plane per query AP
-  /// (cache-resident) instead of gathering [cell][ap] rows — same values as
-  /// cell_rssi(), kept in sync by adopt_rows()/build()/refresh().
+  /// The coarse lookup stage gathers from it through the postings list for
+  /// AP pairs without a pair plane — same values as cell_rssi(), kept in
+  /// sync by adopt_rows()/build()/refresh().
   const float* rssi_plane(std::size_t ap) const {
     return &rssi_by_ap_[ap * n_cells()];
   }
   /// Posting-ordered coarse plane for an AP pair: entry i is AP `a`'s RSSI
   /// at cell postings(s)[i]. Precomputed for every pair of APs close enough
   /// to share audible cells (within 2x the coverage radius), so the coarse
-  /// stage streams contiguous floats with no per-entry cell indirection —
-  /// the loop autovectorizes. nullptr when the pair is out of range (the
-  /// caller falls back to gathering from rssi_plane()). Same values either
-  /// way; kept in sync by adopt_rows()/build()/refresh().
+  /// stage loads contiguous blocks with no per-entry cell indirection.
+  /// nullptr when the pair is out of range (the caller falls back to
+  /// gathering from rssi_plane()). Same values either way; kept in sync by
+  /// adopt_rows()/build()/refresh().
   const float* pair_plane(std::size_t s, std::size_t a) const {
     const std::uint64_t off = pair_off_[s * n_aps() + a];
     return off == 0 ? nullptr : &pair_plane_[off - 1];
@@ -117,6 +117,9 @@ class FingerprintDb {
   const std::vector<std::uint32_t>& postings(std::size_t ap) const {
     return postings_[ap];
   }
+  /// Length of the longest postings list: the locator sizes its per-query
+  /// scratch to it once, so a lookup never grows a buffer.
+  std::size_t max_posting() const { return max_posting_; }
 
   /// Blends a query fingerprint into a stored cell (EWMA with weight alpha
   /// toward the query) for every AP visible on both sides, and counts one
@@ -152,6 +155,7 @@ class FingerprintDb {
   std::vector<std::uint64_t> pair_off_;  ///< [s][a] offset+1, 0 = absent
   std::vector<std::uint64_t> masks_;
   std::vector<std::vector<std::uint32_t>> postings_;
+  std::size_t max_posting_ = 0;
   std::uint64_t writes_ = 0;
 };
 

@@ -1,14 +1,20 @@
 // locator.hpp — outlier-resistant kNN matching over the fingerprint DB,
 // fused with the PHY AoA and ToF estimates.
 //
-// A lookup runs two stages over caller-owned scratch with zero steady-state
-// allocations:
-//   1. Coarse: scan the postings list of the query's strongest AP and score
-//      each candidate cell by squared RSSI-plane distance over the query's
-//      visible APs — one pass per query AP down that AP's contiguous
-//      transposed RSSI plane (a few hundred sequential floats from a
-//      cache-resident 4*n_cells-byte array, not a gather over [cell][ap]
-//      rows), keep the best `coarse_keep`.
+// A lookup runs two stages over caller-owned scratch with zero allocations
+// from begin_query() on:
+//   1. Coarse: score every cell on the query's strongest AP's postings list
+//      by squared RSSI distance over the query's visible APs and keep the
+//      `coarse_keep` best. One branch-free SIMD pass (8 AVX-512 lanes,
+//      4 AVX2 lanes or a portable lane loop, per simd::active_tier()) sums
+//      each block of entries over the query APs in a register, reading the
+//      posting-ordered pair planes (a gather through the postings list for
+//      AP pairs without one), and folds every score into one of
+//      round_up(coarse_keep, 8) running residue minima. Their maximum T
+//      bounds the coarse_keep-th best score from above, so a masked
+//      `score <= T` compare keeps a few dozen survivors; each survivor's
+//      rank is the count of survivors below it in (score, cell) order,
+//      and ranks below coarse_keep are written straight into place.
 //   2. Fine: CRISLoc-style trimmed per-AP fingerprint distance (drop the
 //      `trim` worst per-AP distances, so one shadowed or refreshed-stale AP
 //      cannot veto a match) over the survivors, then an inverse-distance
@@ -18,14 +24,16 @@
 // the estimator's degenerate all-zero case must report ratio 0, not 1) and
 // the inverted ToF cycle count.
 //
-// Determinism: candidate cells are visited in ascending id (postings
-// order), APs in ascending bit order regardless of observe_ap() call
-// order, and every tie-break is first-seen/lowest-index, so a query's
-// result is a pure function of the observation set.
+// Determinism: every coarse score is accumulated in ascending AP order
+// from +0.0 with separate multiplies and adds, so it is bitwise the same on
+// every tier; the kept set is the coarse_keep lexicographically smallest
+// (score, cell) pairs in that order (score ties fall to the lowest cell
+// id); APs are visited in ascending bit order regardless of observe_ap()
+// call order, and every other tie-break is first-seen/lowest-index, so a
+// query's result is a pure function of the observation set.
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "chan/geometry.hpp"
@@ -36,7 +44,7 @@ namespace mobiwlan::loc {
 
 struct LocatorConfig {
   std::size_t k = 4;                ///< kNN neighborhood for the centroid
-  std::size_t coarse_keep = 16;     ///< fine-stage candidates kept by stage 1
+  std::size_t coarse_keep = 16;     ///< stage-1 candidates kept (>= 1)
   std::size_t trim = 2;             ///< worst per-AP distances dropped (CRISLoc)
   std::size_t min_kept_aps = 3;     ///< trim only if at least this many remain
   double aoa_min_peak_ratio = 1.3;  ///< fusion rejects weaker beamscan peaks
@@ -55,9 +63,9 @@ struct LocEstimate {
 
 class Locator {
  public:
-  /// Caller-owned per-query state. Buffers grow on first use and are
-  /// reused; begin_query/observe_ap/locate allocate nothing in steady
-  /// state (gated by the proptest alloc-hook suite and the bench).
+  /// Caller-owned per-query state. begin_query() sizes every buffer for
+  /// the DB's longest postings list; observe_ap/locate then allocate
+  /// nothing (gated by the proptest alloc-hook suite and the bench).
   struct Scratch {
     std::vector<float> feat;  ///< query feature rows, [ap][kFeat]
     std::vector<float> rssi;  ///< query coarse RSSI plane, [ap]
@@ -67,14 +75,13 @@ class Locator {
     std::vector<std::uint32_t> cand;  ///< stage-1 survivors (ascending dist)
     std::vector<double> cand_dist;
     std::vector<double> ap_dist;      ///< per-AP distances of one candidate
-    std::vector<std::uint32_t> qaps;  ///< query mask unpacked, ascending
-    std::vector<double> coarse_acc;   ///< per-posting-entry coarse scores
-    /// (score, cell) pairs for the coarse top-k selection; lexicographic
-    /// order makes the kept set and its order independent of the
-    /// selection algorithm (ties fall to the lowest cell id).
-    std::vector<std::pair<double, std::uint32_t>> sel;
+    std::vector<double> score;        ///< per-posting-entry coarse scores
+    std::vector<double> resid_min;    ///< running minimum per residue class
+    /// Entries at or below the threshold, SoA, padded to a lane multiple
+    /// with (+inf, UINT32_MAX) so rank blocks need no tail mask.
+    std::vector<double> surv_score;
+    std::vector<std::uint32_t> surv_cell;
   };
-
   Locator(const FingerprintDb* db, const LocatorConfig& cfg);
 
   const LocatorConfig& config() const { return cfg_; }
@@ -83,7 +90,9 @@ class Locator {
 
   /// Folds one AP observation into the query. Observations below the DB's
   /// RSSI floor are discarded (the survey could not have heard them
-  /// either), which keeps query and stored fingerprints comparable.
+  /// either), which keeps query and stored fingerprints comparable; so are
+  /// non-finite ones and any a float cannot hold, which keeps every coarse
+  /// score finite.
   void observe_ap(Scratch& s, std::size_t ap, const CsiMatrix& csi,
                   double rssi_dbm) const;
 
@@ -95,6 +104,12 @@ class Locator {
   /// trim_override < 0 uses cfg.trim. Exposed for the property suite.
   double fingerprint_distance(Scratch& s, std::size_t cell,
                               int trim_override = -1) const;
+
+  /// Stage 1 alone: fills s.cand/s.cand_dist with the coarse_keep best
+  /// (coarse score, cell) pairs on the strongest AP's postings list, in
+  /// ascending order (none when the list is empty). Exposed for the
+  /// tier-sweep test.
+  void coarse_candidates(Scratch& s) const;
 
   LocEstimate locate(Scratch& s) const;
   LocEstimate locate_fused(Scratch& s, const AoaEstimate& aoa,

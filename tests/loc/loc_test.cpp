@@ -8,6 +8,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -263,6 +264,38 @@ TEST(LocatorTest, PerturbedSelfQueryStaysInCell) {
   EXPECT_TRUE(est.valid);
   EXPECT_EQ(est.cell, cell);
   EXPECT_GT(est.distance, 0.0);
+}
+
+TEST(LocatorTest, NonFiniteRssiObservationsAreDiscarded) {
+  const FingerprintDb& db = test_db();
+  Locator loc(&db, LocatorConfig{});
+  CsiMatrix csi(3, 2, 52);
+  for (auto& z : csi.raw()) z = cplx{0.5, -0.25};
+  Locator::Scratch s;
+  loc.begin_query(s);
+  loc.observe_ap(s, 1, csi, -60.0);
+  const std::uint64_t mask = s.mask;
+  const std::vector<float> feat = s.feat;
+  const std::vector<float> rssi = s.rssi;
+  const std::size_t strongest = s.strongest_ap;
+  ASSERT_EQ(strongest, 1u);
+  // NaN used to pass the floor check, set the mask bit, skip the
+  // strongest-AP update and poison every coarse score; infinities and
+  // values a float cannot hold would make the scores non-finite.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(), 1e300}) {
+    for (const std::size_t ap : {0u, 2u}) {
+      loc.observe_ap(s, ap, csi, bad);
+      EXPECT_EQ(s.mask, mask) << bad;
+      EXPECT_EQ(s.feat, feat) << bad;
+      EXPECT_EQ(s.rssi, rssi) << bad;
+      EXPECT_EQ(s.strongest_ap, strongest) << bad;
+    }
+  }
+  const LocEstimate est = loc.locate(s);
+  EXPECT_TRUE(est.valid);
+  EXPECT_TRUE(std::isfinite(est.distance));
 }
 
 TEST(LocatorTest, EmptyQueryIsInvalid) {

@@ -6,8 +6,10 @@
 // ascending-cell order internally); the CRISLoc trimmed distance can only
 // drop the worst per-AP terms, so it never exceeds the untrimmed mean; a
 // query seeded with a cell's stored fingerprint returns that cell at
-// distance exactly 0; and the steady-state query path performs zero heap
-// allocations (this binary links mobiwlan_alloc_hook to count them).
+// distance exactly 0; and once the first begin_query has sized the scratch,
+// begin_query/observe_ap/locate perform zero heap allocations, also on a
+// database where every coarse score ties (this binary links
+// mobiwlan_alloc_hook to count them).
 #include <algorithm>
 #include <bit>
 #include <cmath>
@@ -18,6 +20,7 @@
 
 #include "loc/fingerprint_db.hpp"
 #include "loc/locator.hpp"
+#include "../loc/synthetic_db.hpp"
 #include "proptest.hpp"
 #include "util/alloc_count.hpp"
 
@@ -145,38 +148,49 @@ TEST(LocProperty, StoredFingerprintQueryReturnsOwnCellAtZeroDistance) {
   });
 }
 
-TEST(LocProperty, SteadyStateQueriesAreAllocationFree) {
-  ASSERT_TRUE(alloc_hook_active());
-  const FingerprintDb& db = prop_db();
+/// Counts heap allocations over 65 queries on one scratch, with
+/// fingerprint_distance calls mixed in: from right after the first
+/// begin_query (which sizes the scratch, so nothing may rely on a warm-up
+/// query) and, for the 64 after it, from begin_query itself on.
+std::uint64_t allocs_after_begin_query(const FingerprintDb& db) {
   Locator loc(&db, LocatorConfig{});
   Rng rng(proptest::kSuiteSeed);
   std::vector<Observation> obs = random_observations(rng, db.n_aps());
   // Pin every AP audible: the measured loop asserts a valid estimate.
   for (std::size_t ap = 0; ap < obs.size(); ++ap)
     obs[ap].rssi_dbm = -55.0 - 2.0 * static_cast<double>(ap);
-  std::vector<std::size_t> order(db.n_aps());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
 
+  std::uint64_t allocs = 0;
   Locator::Scratch s;
-  // Warmup sizes every scratch buffer (begin_query reserves, the first
-  // locate grows the selection/candidate vectors to their steady size).
-  for (int warm = 0; warm < 4; ++warm) {
-    observe_in_order(loc, s, obs, order);
-    (void)loc.locate(s);
-    for (std::size_t cell = 0; cell < db.n_cells(); cell += 17)
-      (void)loc.fingerprint_distance(s, cell);
-  }
-
-  const std::uint64_t allocs0 = alloc_count();
-  for (int i = 0; i < 64; ++i) {
-    observe_in_order(loc, s, obs, order);
+  for (int i = 0; i < 65; ++i) {
+    const std::uint64_t before_begin = alloc_count();
+    loc.begin_query(s);
+    const std::uint64_t allocs0 = i == 0 ? alloc_count() : before_begin;
+    for (std::size_t ap = 0; ap < db.n_aps(); ++ap)
+      loc.observe_ap(s, ap, obs[ap].csi, obs[ap].rssi_dbm);
     const LocEstimate est = loc.locate(s);
-    ASSERT_TRUE(est.valid);
+    EXPECT_TRUE(est.valid);
     for (std::size_t cell = 0; cell < db.n_cells(); cell += 17)
       (void)loc.fingerprint_distance(s, cell);
+    allocs += alloc_count() - allocs0;
   }
-  EXPECT_EQ(alloc_count() - allocs0, 0u)
-      << "begin_query/observe_ap/locate allocated on the steady-state path";
+  return allocs;
+}
+
+TEST(LocProperty, SteadyStateQueriesAreAllocationFree) {
+  ASSERT_TRUE(alloc_hook_active());
+  EXPECT_EQ(allocs_after_begin_query(prop_db()), 0u)
+      << "begin_query/observe_ap/locate allocated on the query path";
+}
+
+TEST(LocProperty, AllTiesQueriesAreAllocationFreeFromBeginQueryOn) {
+  // Every coarse score ties, so every postings entry survives the
+  // threshold: the survivor buffers run at their worst-case length.
+  ASSERT_TRUE(alloc_hook_active());
+  const FingerprintDb db = synthetic::all_ties_db(300, 8);
+  ASSERT_EQ(db.max_posting(), 300u);
+  EXPECT_EQ(allocs_after_begin_query(db), 0u)
+      << "begin_query/observe_ap/locate allocated on the all-ties DB";
 }
 
 }  // namespace
