@@ -1,11 +1,13 @@
 // perf.cpp — hot-path microbenchmarks for `mobiwlan-bench --perf`.
 //
-// Four cases cover the per-packet pipeline the runtime loops execute
-// millions of times per study: full channel sampling, bare CSI synthesis,
-// CSI similarity, and one classifier CSI step. Each case exercises the
-// scratch-buffer (zero-allocation) API that the steady-state loops use, so
-// allocs_per_op doubles as a regression check on the allocation-free
-// contract whenever the counting hook is linked (it is, in mobiwlan-bench).
+// The cases cover the per-packet pipeline the runtime loops execute
+// millions of times per study — full channel sampling, bare CSI synthesis
+// at both precision tiers, the beamscan AoA, CSI similarity and one
+// classifier CSI step — plus the thread pool and a campus epoch. Each case
+// exercises the scratch-buffer (zero-allocation) API that the steady-state
+// loops use, so allocs_per_op doubles as a regression check on the
+// allocation-free contract whenever the counting hook is linked (it is, in
+// mobiwlan-bench).
 //
 // The workload construction is deliberately simple and self-contained so
 // the numbers stay comparable across refactors: a strong-activity channel
@@ -81,25 +83,13 @@ PerfResult measure(const char* name, double min_time_s, Body body) {
 
 PerfResult run_channel_sample(double min_time_s) {
   auto ch = perf_channel();
-  WirelessChannel::PathScratch scratch;
+  ChannelBatch::Scratch scratch;
   ChannelSample s;
   double t = 0.0;
   return measure("channel_sample", min_time_s, [&] {
     ch->sample_into(t, s, scratch);
     t += 0.001;
     asm volatile("" : : "r"(&s) : "memory");
-  });
-}
-
-PerfResult run_channel_synthesis(double min_time_s) {
-  auto ch = perf_channel();
-  WirelessChannel::PathScratch scratch;
-  CsiMatrix m;
-  double t = 0.0;
-  return measure("channel_synthesis", min_time_s, [&] {
-    ch->csi_true_into(t, m, scratch);
-    t += 0.001;
-    asm volatile("" : : "r"(&m) : "memory");
   });
 }
 
@@ -119,21 +109,19 @@ struct TierGuard {
   ~TierGuard() { simd::set_forced_tier(-1); }
 };
 
-/// Batched noiseless synthesis through ChannelBatch — the engine the scale
-/// runs and the classifier driver sit on, at the paper's 3x2x52 layout.
-/// `precision` pins the plane tier: 0 = fp64 (the default contract),
-/// 1 = fp32 (error-bounded tier; see DESIGN.md §5).
+/// Noiseless synthesis (geometry + CSI) at the paper's 3x2x52 layout via
+/// csi_true_into — the channel engine every sampler sits on. `precision`
+/// pins the plane tier: 0 = fp64 (the default contract), 1 = fp32
+/// (error-bounded tier; see DESIGN.md §5).
 PerfResult run_batch_synthesis_tier(const char* name, double min_time_s,
                                     int precision) {
   PrecisionGuard guard(precision);
   auto ch = perf_channel();
-  ChannelBatch batch;
-  batch.add_link(ch.get());
   ChannelBatch::Scratch scratch;
   CsiMatrix m;
   double t = 0.0;
   return measure(name, min_time_s, [&] {
-    batch.csi_true_into(0, t, m, scratch);
+    ch->csi_true_into(t, m, scratch);
     t += 0.001;
     asm volatile("" : : "r"(&m) : "memory");
   });
@@ -260,13 +248,11 @@ const std::vector<PerfCaseDef>& perf_registry() {
       {"channel_sample",
        "full ChannelSample (geometry+CSI+noise) via sample_into",
        run_channel_sample},
-      {"channel_synthesis", "noiseless 3x2x52 CSI synthesis via csi_true_into",
-       run_channel_synthesis},
       {"batch_synthesis",
-       "batched noiseless synthesis via ChannelBatch (fp64 tier)",
+       "noiseless 3x2x52 CSI synthesis via csi_true_into (fp64 tier)",
        run_batch_synthesis},
       {"batch_synthesis_f32",
-       "batched noiseless synthesis via ChannelBatch (fp32 tier)",
+       "noiseless 3x2x52 CSI synthesis via csi_true_into (fp32 tier)",
        run_batch_synthesis_f32},
       {"aoa_sweep", "181-point beamscan AoA estimate on a fixed CSI snapshot",
        run_aoa_sweep},

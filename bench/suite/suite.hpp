@@ -91,8 +91,8 @@ struct ScaleOptions {
   std::string baseline = "ci/perf_baseline.json";
 };
 
-/// The AP-scale throughput bench: 64 APs x 512 clients, batched-vs-per-link
-/// equivalence + throughput + thread-scaling ladder + steady-state alloc
+/// The AP-scale throughput bench: 64 APs x 512 clients, exact batch-vs-serial
+/// agreement + throughput + thread-scaling ladder + steady-state alloc
 /// count. Everything in the JSON except `timing_*` keys is byte-identical
 /// across `jobs`. Returns a process exit code.
 int run_scale_bench(const ScaleOptions& opt);

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # ci/check.sh — the full pre-merge gate:
-#   1. plain build + entire ctest suite;
+#   1. plain build with -Werror (passed through CMAKE_CXX_FLAGS, so only
+#      this build tree is strict) + entire ctest suite;
 #   2. runtime determinism check: mobiwlan-bench at --jobs 1 vs --jobs 8
 #      must produce byte-identical JSON outside the "timing" lines;
 #   3. perf-regression smoke gate: ci/perf_gate.sh with a short per-case
@@ -37,15 +38,18 @@
 #   8. AddressSanitizer + UndefinedBehaviorSanitizer build
 #      (-DMOBIWLAN_SANITIZE=address,undefined) running the trace tests, which
 #      cover TraceSource's pooled CSI payloads and per-stream ring buffers,
-#      and the beamscan AoA test, whose tier sweep drives every SIMD kernel
-#      through partial blocks and the padded steering table.
+#      the beamscan AoA test, whose tier sweep drives every SIMD kernel
+#      through partial blocks and the padded steering table, the locator
+#      tests, and the channel-engine tests (golden fixtures, batch
+#      equivalence, zero-alloc, fp32 tier, SIMD dispatch), which drive every
+#      per-link and batched caller through the lane-padded staging planes.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 JOBS="$(nproc)"
 
-echo "== build (RelWithDebInfo) =="
-cmake -B build -S . >/dev/null
+echo "== build (RelWithDebInfo, -Werror) =="
+cmake -B build -S . -DCMAKE_CXX_FLAGS="-Werror" >/dev/null
 cmake --build build -j"${JOBS}"
 
 echo "== ctest =="
@@ -105,13 +109,15 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/experiment_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/parallel_for_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/mailbox_stress_test
 
-echo "== AddressSanitizer + UBSan: trace, beamscan and locator tests =="
+echo "== AddressSanitizer + UBSan: trace, beamscan, locator and channel tests =="
 cmake -B build-asan -S . -DMOBIWLAN_SANITIZE=address,undefined \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS" \
   >/dev/null
 ASAN_TESTS=(trace_io_test trace_source_test trace_replay_test trace_prop_test
-           aoa_test loc_test loc_prop_test locator_tier_test)
+           aoa_test loc_test loc_prop_test locator_tier_test
+           channel_equivalence_test channel_batch_equivalence_test
+           channel_zero_alloc_test channel_batch_f32_test simd_dispatch_test)
 cmake --build build-asan -j"${JOBS}" --target "${ASAN_TESTS[@]}"
 for t in "${ASAN_TESTS[@]}"; do
   ASAN_OPTIONS="detect_leaks=1" UBSAN_OPTIONS="print_stacktrace=1" \

@@ -132,10 +132,8 @@ void Session::prime(ChannelBatch::Scratch& scratch, ChannelSample& sample) {
   // Two consecutive samples one tick apart: the association burst that
   // anchors the classifier's similarity stream (and takes its one-time
   // last_csi_/scratch allocations) before the batched hot loop sees the
-  // session. The batched kernels are used here in EVERY partitioning, so
-  // the digest never mixes per-link and batched bits for the same step —
-  // and, since those kernels are bitwise tier-invariant, the digest is the
-  // same on every SIMD tier.
+  // session. These are the hot loop's kernels, and they are bitwise
+  // tier-invariant, so the digest is the same on every SIMD tier.
   ChannelBatch::sample_link(*channel_, t0 - params_.tick_s, sample, scratch);
   observe(t0 - params_.tick_s, stats_.arrival_epoch, sample);
   ChannelBatch::sample_link(*channel_, t0, sample, scratch);

@@ -1,95 +1,16 @@
 #include "chan/channel.hpp"
 
-#include <immintrin.h>
-
 #include <cmath>
 #include <numbers>
 
-#include "util/fastmath.hpp"
 #include "util/prefetch.hpp"
-#include "util/simd.hpp"
 #include "util/units.hpp"
 
 namespace mobiwlan {
 
 namespace {
 constexpr double kPi = std::numbers::pi;
-
-// Unit phasor via the inline fdlibm kernel where the argument is small
-// (subcarrier steps and array steering angles); falls back to libm for the
-// rare out-of-range argument so callers never need to range-check.
-cplx unit_polar(double phase) {
-  if (std::abs(phase) > fastmath::kSincosMaxArg) [[unlikely]]
-    return std::polar(1.0, phase);
-  double s, c;
-  fastmath::sincos(phase, s, c);
-  return {c, s};
-}
-
-// Accumulate steer * base into one antenna pair's planes:
-//   acc_re += sr * bre - si * bim;  acc_im += sr * bim + si * bre.
-// This multiply-accumulate over subcarriers is the flop core of synthesis
-// (pairs x subcarriers x paths), so it gets an AVX2+FMA variant selected at
-// runtime — the build stays baseline x86-64 for portability. FMA contraction
-// perturbs each term by ~1 ulp, far inside the 1e-12 equivalence budget, and
-// the per-accumulator path summation order is unchanged.
-__attribute__((target("avx2,fma"))) void mac_pair_avx2(
-    double* acc_re, double* acc_im, const double* bre, const double* bim,
-    double sr, double si, std::size_t n) {
-  const __m256d vsr = _mm256_set1_pd(sr);
-  const __m256d vsi = _mm256_set1_pd(si);
-  std::size_t sc = 0;
-  for (; sc + 4 <= n; sc += 4) {
-    const __m256d b_re = _mm256_loadu_pd(bre + sc);
-    const __m256d b_im = _mm256_loadu_pd(bim + sc);
-    const __m256d a_re = _mm256_loadu_pd(acc_re + sc);
-    const __m256d a_im = _mm256_loadu_pd(acc_im + sc);
-    _mm256_storeu_pd(acc_re + sc,
-                     _mm256_fmadd_pd(vsr, b_re, _mm256_fnmadd_pd(vsi, b_im, a_re)));
-    _mm256_storeu_pd(acc_im + sc,
-                     _mm256_fmadd_pd(vsr, b_im, _mm256_fmadd_pd(vsi, b_re, a_im)));
-  }
-  for (; sc < n; ++sc) {
-    acc_re[sc] += sr * bre[sc] - si * bim[sc];
-    acc_im[sc] += sr * bim[sc] + si * bre[sc];
-  }
-}
-
-void mac_pair_scalar(double* __restrict acc_re, double* __restrict acc_im,
-                     const double* __restrict bre, const double* __restrict bim,
-                     double sr, double si, std::size_t n) {
-  for (std::size_t sc = 0; sc < n; ++sc) {
-    acc_re[sc] += sr * bre[sc] - si * bim[sc];
-    acc_im[sc] += sr * bim[sc] + si * bre[sc];
-  }
-}
-
-using MacPairFn = void (*)(double*, double*, const double*, const double*,
-                           double, double, std::size_t);
-
-// Re-resolved per synthesize_into call (not cached at static init) so
-// MOBIWLAN_FORCE_SCALAR and the simd::set_force_scalar test hook can steer
-// the untaken variant through the golden-fixture agreement tests.
-MacPairFn resolve_mac_pair() {
-  return simd::use_avx2fma() ? mac_pair_avx2 : mac_pair_scalar;
-}
 }  // namespace
-
-Vec2 WirelessChannel::Scatterer::position(double t) const {
-  if (motion_amplitude_m == 0.0) return home;
-  const double s = motion_amplitude_m *
-                   std::sin(2.0 * kPi * motion_freq_hz * t + motion_phase);
-  return home + motion_dir * s;
-}
-
-double WirelessChannel::Scatterer::blockage_db(double t) const {
-  if (blockage_depth_db == 0.0) return 0.0;
-  // A body crosses the direct path for a fraction of each pacing cycle:
-  // model the crossing as a raised-power sinusoid pulse (narrow, smooth).
-  const double phase = std::sin(2.0 * kPi * motion_freq_hz * t + motion_phase);
-  const double pulse = std::max(0.0, phase);
-  return blockage_depth_db * pulse * pulse * pulse * pulse;
-}
 
 WirelessChannel::WirelessChannel(const ChannelConfig& config, Vec2 ap_pos,
                                  std::shared_ptr<const Trajectory> trajectory,
@@ -195,203 +116,6 @@ double WirelessChannel::shadow_db_at(double t) const {
          std::sqrt(static_cast<double>(shadow_waves_.size()) / 2.0);
 }
 
-double WirelessChannel::path_amplitude(double length_m, double extra_loss_db) const {
-  const double length = std::max(length_m, 1.0);
-  const double loss_db = config_.ref_loss_db +
-                         10.0 * config_.path_loss_exponent * std::log10(length) +
-                         extra_loss_db;
-  return std::sqrt(dbm_to_mw(config_.tx_power_dbm - loss_db));
-}
-
-void WirelessChannel::path_geometries_into(double t, PathScratch& scratch) const {
-  std::vector<PathGeometry>& paths = scratch.paths;
-  paths.clear();
-  paths.reserve(scatterers_.size() + 1);
-
-  const Vec2 client = trajectory_->position(t);
-  // Body shadowing gates every path equally (the body blocks the handset,
-  // not a particular reflection).
-  const double shadow = shadow_db_at(t);
-  // People walking near the link periodically cross the direct path.
-  double blockage = 0.0;
-  for (const auto& s : scatterers_) blockage += s.blockage_db(t);
-
-  // Line-of-sight path.
-  {
-    PathGeometry los;
-    los.length_m = distance(ap_pos_, client);
-    const double obstruction =
-        config_.los_obstruction_db_per_m * std::max(0.0, los.length_m - 5.0);
-    los.amplitude = path_amplitude(los.length_m, shadow + obstruction + blockage);
-    los.phase0 = 0.0;
-    const Vec2 d = client - ap_pos_;
-    // cos(atan2(y, x)) == x / hypot(x, y); the zero-length guard matches
-    // cos(atan2(0, 0)) == 1.
-    los.cos_aod = los.length_m > 0.0 ? d.x / los.length_m : 1.0;
-    los.cos_aoa = los.length_m > 0.0 ? -d.x / los.length_m : 1.0;
-    paths.push_back(los);
-  }
-
-  // Single-bounce paths via scatterers.
-  for (const auto& s : scatterers_) {
-    const Vec2 sp = s.position(t);
-    PathGeometry p;
-    const double out_len = distance(ap_pos_, sp);
-    const double in_len = distance(sp, client);
-    p.length_m = out_len + in_len;
-    p.amplitude = path_amplitude(p.length_m, s.reflection_loss_db + shadow);
-    p.phase0 = s.reflection_phase;
-    const Vec2 out = sp - ap_pos_;
-    const Vec2 in = sp - client;
-    p.cos_aod = out_len > 0.0 ? out.x / out_len : 1.0;
-    p.cos_aoa = in_len > 0.0 ? in.x / in_len : 1.0;
-    paths.push_back(p);
-  }
-}
-
-void WirelessChannel::synthesize_into(PathScratch& scratch, CsiMatrix& out) const {
-  const std::size_t n_sc = config_.n_subcarriers;
-  const std::size_t n_entries = config_.n_tx * config_.n_rx * n_sc;
-  out.resize(config_.n_tx, config_.n_rx, n_sc);
-  scratch.base_re.resize(n_sc);
-  scratch.base_im.resize(n_sc);
-  scratch.acc_re.assign(n_entries, 0.0);
-  scratch.acc_im.assign(n_entries, 0.0);
-  const double half = static_cast<double>(n_sc - 1) / 2.0;
-  const MacPairFn mac_pair = resolve_mac_pair();
-
-  for (const auto& p : scratch.paths) {
-    const double tau = p.length_m / kSpeedOfLight;
-    // Phase at the band centre, including the carrier term: this is what
-    // makes centimetre-scale motion rotate the phase by radians.
-    const double centre_phase = -2.0 * kPi * config_.carrier_hz * tau + p.phase0;
-    // Per-subcarrier increment across the band (a fraction of a radian for
-    // indoor path delays — inside the fast-sincos range).
-    const cplx step = unit_polar(-2.0 * kPi * config_.subcarrier_spacing_hz * tau);
-    const cplx start = std::polar(p.amplitude,
-                                  centre_phase +
-                                      2.0 * kPi * config_.subcarrier_spacing_hz * tau * half);
-
-    // The per-subcarrier phasor chain depends only on the path, so run the
-    // recurrence once and let every antenna pair scale it — the old kernel
-    // re-ran it per (tx, rx). Four interleaved chains (each stepping by
-    // step^4) break the serial complex-multiply dependency that otherwise
-    // bounds this loop by multiply latency, at ~1e-15 relative phase drift.
-    double br[4], bi[4];
-    br[0] = start.real();
-    bi[0] = start.imag();
-    const double sr1 = step.real();
-    const double si1 = step.imag();
-    for (int j = 1; j < 4; ++j) {
-      br[j] = br[j - 1] * sr1 - bi[j - 1] * si1;
-      bi[j] = br[j - 1] * si1 + bi[j - 1] * sr1;
-    }
-    const double s2r = sr1 * sr1 - si1 * si1;
-    const double s2i = 2.0 * sr1 * si1;
-    const double s4r = s2r * s2r - s2i * s2i;
-    const double s4i = 2.0 * s2r * s2i;
-    std::size_t sc = 0;
-    for (; sc + 4 <= n_sc; sc += 4) {
-      for (int j = 0; j < 4; ++j) {
-        scratch.base_re[sc + j] = br[j];
-        scratch.base_im[sc + j] = bi[j];
-        const double nr = br[j] * s4r - bi[j] * s4i;
-        bi[j] = br[j] * s4i + bi[j] * s4r;
-        br[j] = nr;
-      }
-    }
-    for (int j = 0; sc < n_sc; ++sc, ++j) {
-      scratch.base_re[sc] = br[j];
-      scratch.base_im[sc] = bi[j];
-    }
-
-    // Uniform linear array at λ/2 spacing at both ends: the steering phase is
-    // linear in the antenna index, so each side is a phasor power chain —
-    // one sincos per side per path instead of one per (tx, rx).
-    const cplx w_tx = unit_polar(-kPi * p.cos_aod);
-    const cplx w_rx = unit_polar(-kPi * p.cos_aoa);
-    cplx steer_tx{1.0, 0.0};
-    for (std::size_t tx = 0; tx < config_.n_tx; ++tx) {
-      cplx steer = steer_tx;
-      for (std::size_t rx = 0; rx < config_.n_rx; ++rx) {
-        const double sr = steer.real();
-        const double si = steer.imag();
-        mac_pair(scratch.acc_re.data() + (tx * config_.n_rx + rx) * n_sc,
-                 scratch.acc_im.data() + (tx * config_.n_rx + rx) * n_sc,
-                 scratch.base_re.data(), scratch.base_im.data(), sr, si, n_sc);
-        steer *= w_rx;
-      }
-      steer_tx *= w_tx;
-    }
-  }
-
-  cplx* raw = out.raw().data();
-  for (std::size_t i = 0; i < n_entries; ++i)
-    raw[i] = cplx{scratch.acc_re[i], scratch.acc_im[i]};
-}
-
-double WirelessChannel::total_power_mw(const std::vector<PathGeometry>& paths) {
-  double sum = 0.0;
-  for (const auto& p : paths) sum += p.amplitude * p.amplitude;
-  return sum;
-}
-
-double WirelessChannel::noise_floor_dbm() const {
-  return kThermalNoiseDbmPerHz + 10.0 * std::log10(config_.bandwidth_hz) +
-         config_.noise_figure_db;
-}
-
-CsiMatrix WirelessChannel::csi_true(double t) const {
-  PathScratch scratch;
-  CsiMatrix csi;
-  csi_true_into(t, csi, scratch);
-  return csi;
-}
-
-void WirelessChannel::csi_true_into(double t, CsiMatrix& out,
-                                    PathScratch& scratch) const {
-  path_geometries_into(t, scratch);
-  synthesize_into(scratch, out);
-}
-
-void WirelessChannel::add_csi_noise(CsiMatrix& csi, double link_snr_db) {
-  // Measurement noise: the ACK is received at the link SNR, but the CSI
-  // estimator saturates around csi_snr_cap_db even at high signal levels.
-  const double snr = std::min(link_snr_db + config_.csi_processing_gain_db,
-                              config_.csi_snr_cap_db);
-  const double mean_pow = csi.mean_power();
-  const double noise_var = mean_pow / db_to_linear(snr);
-  rng_.add_complex_gaussian(csi.raw().data(), csi.raw().size(), noise_var);
-}
-
-CsiMatrix WirelessChannel::csi_at(double t) {
-  CsiMatrix csi;
-  csi_at_into(t, csi, scratch_);
-  return csi;
-}
-
-void WirelessChannel::csi_at_into(double t, CsiMatrix& out, PathScratch& scratch) {
-  path_geometries_into(t, scratch);
-  synthesize_into(scratch, out);
-  const double link_snr =
-      mw_to_dbm(total_power_mw(scratch.paths)) - noise_floor_dbm();
-  add_csi_noise(out, link_snr);
-}
-
-double WirelessChannel::snr_db(double t) const {
-  PathScratch scratch;
-  path_geometries_into(t, scratch);
-  return mw_to_dbm(total_power_mw(scratch.paths)) - noise_floor_dbm();
-}
-
-double WirelessChannel::rssi_dbm(double t) {
-  path_geometries_into(t, scratch_);
-  const double raw = mw_to_dbm(total_power_mw(scratch_.paths)) +
-                     rng_.gaussian(0.0, config_.rssi_noise_db);
-  const double q = config_.rssi_quantum_db;
-  return std::round(raw / q) * q;
-}
-
 double WirelessChannel::tof_cycles(double t) {
   const double d = true_distance(t);
   const double rt_ns = 2.0 * d / kSpeedOfLight * 1e9;
@@ -411,40 +135,6 @@ double WirelessChannel::radial_velocity(double t) const {
   // t, biasing the first 10 ms. Use a forward difference there instead.
   if (t < dt) return (true_distance(t + dt) - true_distance(t)) / dt;
   return (true_distance(t + dt) - true_distance(t - dt)) / (2.0 * dt);
-}
-
-ChannelSample WirelessChannel::sample(double t) {
-  ChannelSample s;
-  sample_into(t, s, scratch_);
-  return s;
-}
-
-void WirelessChannel::sample_into(double t, ChannelSample& out,
-                                  PathScratch& scratch) {
-  out.t = t;
-  // The one geometry pass: CSI, SNR, RSSI and ToF all derive from it. The
-  // RNG draw order (CSI noise, then RSSI jitter, then ToF jitter) matches
-  // the historical multi-pass implementation, so sampled values are
-  // unchanged.
-  path_geometries_into(t, scratch);
-  synthesize_into(scratch, out.csi);
-  const double signal_dbm = mw_to_dbm(total_power_mw(scratch.paths));
-  const double link_snr = signal_dbm - noise_floor_dbm();
-  add_csi_noise(out.csi, link_snr);
-
-  const double raw_rssi =
-      signal_dbm + rng_.gaussian(0.0, config_.rssi_noise_db);
-  const double q = config_.rssi_quantum_db;
-  out.rssi_dbm = std::round(raw_rssi / q) * q;
-  out.snr_db = link_snr;
-
-  // The LOS entry's length is exactly the AP-client distance.
-  const double d = scratch.paths.front().length_m;
-  const double rt_ns = 2.0 * d / kSpeedOfLight * 1e9;
-  const double measured_ns =
-      rt_ns + config_.tof_bias_ns + rng_.gaussian(0.0, config_.tof_noise_ns);
-  out.tof_cycles = std::round(measured_ns * 1e-9 * config_.tof_clock_hz);
-  out.true_distance_m = d;
 }
 
 }  // namespace mobiwlan

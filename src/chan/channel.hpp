@@ -34,6 +34,7 @@
 namespace mobiwlan {
 
 class ChannelBatch;
+struct ChannelScratch;
 
 /// How much the environment itself moves (paper §2.1: quiet lab vs cafeteria
 /// at lunch hour; Fig. 2b further splits environmental into weak and strong).
@@ -127,28 +128,6 @@ struct ChannelSample {
 /// The radio link between one AP and one client following a trajectory.
 class WirelessChannel {
  public:
-  /// Geometry of one propagation path at a time instant. Steering angles are
-  /// carried as cosines (the only form the ULA phase terms need), computed as
-  /// coordinate ratios instead of cos(atan2(...)).
-  struct PathGeometry {
-    double length_m;      // total propagation length
-    double amplitude;     // sqrt(mW) received amplitude
-    double phase0;        // reflection phase offset
-    double cos_aod;       // cos(departure angle at the AP array)
-    double cos_aoa;       // cos(arrival angle at the client array)
-  };
-
-  /// Reusable workspace for the single-pass hot path. One `sample_into` /
-  /// `csi_*_into` call fills `paths` and the SoA synthesis planes; a caller
-  /// that keeps a PathScratch (and a ChannelSample / CsiMatrix) alive across
-  /// a sampling loop performs zero heap allocations in steady state — the
-  /// vectors grow once and are reused thereafter.
-  struct PathScratch {
-    std::vector<PathGeometry> paths;
-    std::vector<double> base_re, base_im;  ///< per-subcarrier phasor, one path
-    std::vector<double> acc_re, acc_im;    ///< CSI accumulation planes (SoA)
-  };
-
   WirelessChannel(const ChannelConfig& config, Vec2 ap_pos,
                   std::shared_ptr<const Trajectory> trajectory, Rng rng);
 
@@ -166,34 +145,36 @@ class WirelessChannel {
   /// misses overlap the current link's synthesis.
   void prefetch() const;
 
-  /// Full observation (CSI + RSSI + SNR + ToF) at time t.
-  ChannelSample sample(double t);
+  // Sampling. Every entry point runs the ChannelBatch kernels
+  // (chan/channel_batch.cpp) on a ChannelScratch: a per-link call is a
+  // batch of one, bit for bit what a ChannelBatch range call gives this
+  // link. The `_into` forms and the scratch overloads take the caller's
+  // scratch and are allocation-free in steady state when `out` and
+  // `scratch` are reused; the by-value forms use a per-thread scratch.
+  // Draw order per sample: CSI noise, then RSSI jitter, then ToF jitter.
 
-  /// Single-pass full observation: path geometry is computed once and CSI,
-  /// SNR, RSSI and ToF are all derived from that one pass (the convenience
-  /// overloads above recompute nothing either — they share this core).
-  /// Allocation-free in steady state when `out` and `scratch` are reused.
-  void sample_into(double t, ChannelSample& out, PathScratch& scratch);
+  /// Full observation (CSI + RSSI + SNR + ToF) at time t, from one geometry
+  /// pass.
+  ChannelSample sample(double t);
+  void sample_into(double t, ChannelSample& out, ChannelScratch& scratch);
 
   /// Measured (noisy) CSI only.
   CsiMatrix csi_at(double t);
-
-  /// Measured CSI into a reusable matrix; allocation-free in steady state.
-  void csi_at_into(double t, CsiMatrix& out, PathScratch& scratch);
+  void csi_at_into(double t, CsiMatrix& out, ChannelScratch& scratch);
 
   /// Noiseless CSI — the channel's ground truth, used by the trace-based
   /// emulators to apply a precoder computed from stale *measured* CSI to the
-  /// *actual* channel at transmit time.
+  /// *actual* channel at transmit time. Draws nothing.
   CsiMatrix csi_true(double t) const;
+  void csi_true_into(double t, CsiMatrix& out, ChannelScratch& scratch) const;
 
-  /// Noiseless CSI into a reusable matrix; allocation-free in steady state.
-  void csi_true_into(double t, CsiMatrix& out, PathScratch& scratch) const;
-
-  /// True wideband SNR in dB at time t (no measurement noise).
+  /// True wideband SNR in dB at time t (no measurement noise, no draws).
   double snr_db(double t) const;
+  double snr_db(double t, ChannelScratch& scratch) const;
 
   /// Quantized RSSI reading in dBm.
   double rssi_dbm(double t);
+  double rssi_dbm(double t, ChannelScratch& scratch);
 
   /// One noisy, clock-quantized ToF reading (round-trip clock cycles).
   double tof_cycles(double t);
@@ -213,11 +194,8 @@ class WirelessChannel {
   const Trajectory& trajectory() const { return *trajectory_; }
 
  private:
-  // The batched multi-link engine (chan/channel_batch.hpp) re-implements the
-  // geometry + synthesis hot path over many links at once; it reads the
-  // private realization state (scatterers, shadow field) and drives rng_
-  // through the exact per-link draw sequence, so batched and per-link
-  // sampling stay numerically equivalent (<= 1e-12) with identical RNG state.
+  // The channel engine (chan/channel_batch.hpp) reads the private
+  // realization state (scatterers, shadow field) and drives rng_.
   friend class ChannelBatch;
 
   // Draws scatterers_ and shadow_waves_ from rng_ (shared by the
@@ -235,28 +213,7 @@ class WirelessChannel {
     double motion_phase = 0.0;
     // Peak LOS attenuation when this person crosses the direct path.
     double blockage_depth_db = 0.0;
-
-    Vec2 position(double t) const;
-    /// Attenuation (dB) this person currently puts on the direct path:
-    /// a narrow pulse once per pacing cycle.
-    double blockage_db(double t) const;
   };
-
-  /// Geometry of all paths (LOS first) at time t, into scratch.paths.
-  void path_geometries_into(double t, PathScratch& scratch) const;
-
-  /// Synthesize noiseless CSI from scratch.paths into `out` (SoA kernel).
-  void synthesize_into(PathScratch& scratch, CsiMatrix& out) const;
-
-  /// Measurement-noise + RSSI + ToF tail shared by the sampling entry points;
-  /// `link_snr_db` and `true_distance_m` come from the single geometry pass.
-  void add_csi_noise(CsiMatrix& csi, double link_snr_db);
-
-  /// Total received power (mW) across paths.
-  static double total_power_mw(const std::vector<PathGeometry>& paths);
-
-  double path_amplitude(double length_m, double extra_loss_db) const;
-  double noise_floor_dbm() const;
 
   struct ShadowWave {
     Vec2 k;        // spatial wavevector
@@ -269,10 +226,6 @@ class WirelessChannel {
   std::vector<Scatterer> scatterers_;
   std::vector<ShadowWave> shadow_waves_;
   mutable Rng rng_;
-  // Workspace for the by-value convenience overloads (sample, csi_at, ...).
-  // Shares the same thread-safety contract as rng_: non-const entry points
-  // are single-caller.
-  PathScratch scratch_;
 };
 
 }  // namespace mobiwlan

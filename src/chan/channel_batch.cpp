@@ -37,8 +37,8 @@ double sin_checked(double x) {
   return fastmath::sin_wide(x);
 }
 
-// 10 * log10(mw) / 10^(db/10) with the fastmath kernels — the per-sample
-// dBm conversions cost a libm log10 + pow each on the per-link path.
+// 10 * log10(mw) / 10^(db/10) with the fastmath kernels instead of a libm
+// log10 + pow per sample.
 double fast_mw_to_dbm(double mw) { return 10.0 * fastmath::log10_pos(mw); }
 double fast_db_to_linear(double db) { return std::exp2(db * kLog2Ten_Over10); }
 double fast_noise_floor_dbm(const ChannelConfig& cfg) {
@@ -46,9 +46,15 @@ double fast_noise_floor_dbm(const ChannelConfig& cfg) {
          cfg.noise_figure_db;
 }
 
+// Received signal power (dBm) summed over the geometry pass's paths.
+double signal_dbm(const std::vector<PathGeometry>& paths) {
+  double sum = 0.0;
+  for (const auto& p : paths) sum += p.amplitude * p.amplitude;
+  return fast_mw_to_dbm(sum);
+}
+
 // Four interleaved per-subcarrier phasor chains (each stepping by step^4),
-// seeded from the path's start phasor. Mirrors the chain seeding in
-// WirelessChannel::synthesize_into exactly.
+// seeded from the path's start phasor.
 struct PathChains {
   double br[4];
   double bi[4];
@@ -206,8 +212,9 @@ double amp_lane(double len, double extra, double base_db, double coef) {
 // Vector recurrence with four independent 4-lane block chains stepping by
 // step^16: the serial dependency that latency-binds the scalar recurrence is
 // split four ways, so the chain multiplies pipeline. Association differs
-// from the scalar chain by a handful of rounding steps (~1e-15 relative),
-// inside the batch's 1e-12 equivalence budget.
+// from a plain four-chain recurrence by a handful of rounding steps (~1e-15
+// relative), inside the golden fixtures' 1e-12 budget; fill_base_lane
+// mirrors it bitwise.
 __attribute__((target("avx2,fma"), optimize("fp-contract=off"))) void fill_base_avx2(const PathChains& pc,
                                                         double* bre,
                                                         double* bim,
@@ -264,9 +271,8 @@ __attribute__((target("avx2,fma"), optimize("fp-contract=off"))) void fill_base_
 // CsiMatrix. Per element the accumulation is
 //   acc_re = fmadd(sr, b_re, fnmadd(si, b_im, acc_re))
 //   acc_im = fmadd(sr, b_im, fmadd(si, b_re, acc_im))
-// in path order — the identical operation sequence the per-link
-// mac_pair_avx2 kernel performs, so the blocked accumulation matches it
-// bitwise. The wideband power accumulates during the store (order differs
+// in path order; fused_mac_lane mirrors it bitwise on the scalar tier.
+// The wideband power accumulates during the store (order differs
 // from CsiMatrix::mean_power; it only feeds the noise variance).
 template <int NB>
 __attribute__((target("avx2,fma"), optimize("fp-contract=off"))) void mac_block_avx2(
@@ -383,8 +389,7 @@ __attribute__((target("avx2,fma"), optimize("fp-contract=off"))) void vsqrt_n(do
 }
 
 // amp[i] = 10^((base_db - extra[i] - coef*log10(max(len[i], 1))) / 20) — the
-// whole log-distance amplitude pipeline in one pass (port of
-// WirelessChannel::path_amplitude via log_pos + exp2).
+// whole log-distance amplitude pipeline in one pass (log_pos + exp2).
 __attribute__((target("avx2,fma"), optimize("fp-contract=off"))) void vamp_n(const double* len,
                                                 const double* extra,
                                                 std::size_t n, double base_db,
@@ -864,14 +869,14 @@ struct ChannelBatch::SynthSpec {
 // Wide-argument geometry pass: the shared bail-out when any oscillator
 // argument exceeds the fastmath range (huge t or client coordinates). Both
 // tiers funnel here on exactly the same inputs (same max-|arg| check), so
-// the libm fallback stays tier-invariant by construction. Mirrors
-// WirelessChannel::path_geometries_into with the extended-range fastmath
-// kernels in place of libm (sin, hypot, log10, pow): every value agrees to
-// well under 1e-12 relative with the per-link pass.
+// the libm fallback stays tier-invariant by construction. It evaluates the
+// path model (LOS, then one single-bounce path per scatterer) straight
+// through with the extended-range fastmath kernels, libm sin only past
+// their range.
 void ChannelBatch::geometries_wide(const WirelessChannel& ch, double t,
                                    Scratch& scratch) {
   const ChannelConfig& cfg = ch.config_;
-  std::vector<WirelessChannel::PathGeometry>& paths = scratch.geom.paths;
+  std::vector<PathGeometry>& paths = scratch.paths;
   paths.clear();
   paths.reserve(ch.scatterers_.size() + 1);
 
@@ -897,7 +902,7 @@ void ChannelBatch::geometries_wide(const WirelessChannel& ch, double t,
 
   const double base_db = cfg.tx_power_dbm - cfg.ref_loss_db;
   auto amplitude_for = [&](double length_m, double extra_loss_db) {
-    // path_amplitude: sqrt(dbm_to_mw(tx - ref - 10*n*log10(len) - extra))
+    // sqrt(dbm_to_mw(tx - ref - 10*n*log10(len) - extra))
     // == 10^((tx - ref - extra - 10*n*log10(len))/20), via exp2 and the
     // fastmath log10 instead of pow/log10.
     const double length = std::max(length_m, 1.0);
@@ -907,7 +912,7 @@ void ChannelBatch::geometries_wide(const WirelessChannel& ch, double t,
   };
 
   {
-    WirelessChannel::PathGeometry los;
+    PathGeometry los;
     los.length_m = fast_distance(ch.ap_pos_, client);
     const double obstruction =
         cfg.los_obstruction_db_per_m * std::max(0.0, los.length_m - 5.0);
@@ -928,7 +933,7 @@ void ChannelBatch::geometries_wide(const WirelessChannel& ch, double t,
           sin_checked(2.0 * kPi * s.motion_freq_hz * t + s.motion_phase);
       sp = s.home + s.motion_dir * sway;
     }
-    WirelessChannel::PathGeometry p;
+    PathGeometry p;
     const double out_len = fast_distance(ch.ap_pos_, sp);
     const double in_len = fast_distance(sp, client);
     p.length_m = out_len + in_len;
@@ -1029,11 +1034,11 @@ void ChannelBatch::geometries_scalar(const WirelessChannel& ch, double t,
   const double base_db = cfg.tx_power_dbm - cfg.ref_loss_db;
   const double coef = 10.0 * cfg.path_loss_exponent;
   const double los_len = s.len[0];
-  std::vector<WirelessChannel::PathGeometry>& paths = s.geom.paths;
+  std::vector<PathGeometry>& paths = s.paths;
   paths.clear();
   paths.reserve(n_paths);
   {
-    WirelessChannel::PathGeometry los;
+    PathGeometry los;
     los.length_m = los_len;
     const double extra =
         shadow + cfg.los_obstruction_db_per_m * std::max(0.0, los_len - 5.0) +
@@ -1045,7 +1050,7 @@ void ChannelBatch::geometries_scalar(const WirelessChannel& ch, double t,
     paths.push_back(los);
   }
   for (std::size_t j = 0; j < n_scat; ++j) {
-    WirelessChannel::PathGeometry p;
+    PathGeometry p;
     const double out_len = s.len[1 + 2 * j];
     const double in_len = s.len[2 + 2 * j];
     p.length_m = out_len + in_len;
@@ -1180,13 +1185,13 @@ void ChannelBatch::geometries(const WirelessChannel& ch, double t,
          s.amp.data());
 
   // Stage 4: assemble the PathGeometry records (LOS first, then one per
-  // scatterer — identical ordering and angle conventions to the per-link
+  // scatterer — identical ordering and angle conventions to the scalar
   // pass).
-  std::vector<WirelessChannel::PathGeometry>& paths = s.geom.paths;
+  std::vector<PathGeometry>& paths = s.paths;
   paths.clear();
   paths.reserve(n_paths);
   {
-    WirelessChannel::PathGeometry los;
+    PathGeometry los;
     los.length_m = los_len;
     los.amplitude = s.amp[0];
     los.phase0 = 0.0;
@@ -1195,7 +1200,7 @@ void ChannelBatch::geometries(const WirelessChannel& ch, double t,
     paths.push_back(los);
   }
   for (std::size_t j = 0; j < n_scat; ++j) {
-    WirelessChannel::PathGeometry p;
+    PathGeometry p;
     const double out_len = s.len[1 + 2 * j];
     const double in_len = s.len[2 + 2 * j];
     p.length_m = s.arg[1 + j];
@@ -1221,7 +1226,7 @@ void ChannelBatch::synthesize(const WirelessChannel& ch, const SynthSpec& spec,
   const ChannelConfig& cfg = ch.config_;
   const std::size_t n_sc = cfg.n_subcarriers;
   const std::size_t n_pairs = cfg.n_tx * cfg.n_rx;
-  const std::size_t n_paths = scratch.geom.paths.size();
+  const std::size_t n_paths = scratch.paths.size();
   out.resize_for_overwrite(cfg.n_tx, cfg.n_rx, n_sc);
   scratch.base.resize(n_paths * 2 * n_sc);
   scratch.steer.resize(n_paths * n_pairs * 2);
@@ -1234,7 +1239,7 @@ void ChannelBatch::synthesize(const WirelessChannel& ch, const SynthSpec& spec,
   scratch.cosv.resize(4 * n_paths);
   bool wide_ok = true;
   for (std::size_t p = 0; p < n_paths; ++p) {
-    const WirelessChannel::PathGeometry& path = scratch.geom.paths[p];
+    const PathGeometry& path = scratch.paths[p];
     const double tau = path.length_m / kSpeedOfLight;
     const double centre_phase =
         -2.0 * kPi * cfg.carrier_hz * tau + path.phase0;
@@ -1276,7 +1281,7 @@ void ChannelBatch::synthesize(const WirelessChannel& ch, const SynthSpec& spec,
   }
 
   for (std::size_t p = 0; p < n_paths; ++p) {
-    const double amp = scratch.geom.paths[p].amplitude;
+    const double amp = scratch.paths[p].amplitude;
     const cplx step{scratch.cosv[4 * p], scratch.sinv[4 * p]};
     const cplx start{amp * scratch.cosv[4 * p + 1],
                      amp * scratch.sinv[4 * p + 1]};
@@ -1291,8 +1296,9 @@ void ChannelBatch::synthesize(const WirelessChannel& ch, const SynthSpec& spec,
     fill_base_lane(pc, bplane, bplane + n_sc, n_sc);
 #endif
 
-    // ULA steering phasor power chains, one row of the steering table per
-    // path — identical chain order to the per-link kernel.
+    // ULA steering phasor power chains at λ/2 spacing at both ends (the
+    // steering phase is linear in the antenna index), one row of the
+    // steering table per path.
     const cplx w_tx{scratch.cosv[4 * p + 2], scratch.sinv[4 * p + 2]};
     const cplx w_rx{scratch.cosv[4 * p + 3], scratch.sinv[4 * p + 3]};
     double* st = scratch.steer.data() + p * n_pairs * 2;
@@ -1340,7 +1346,7 @@ void ChannelBatch::synthesize_f32(const WirelessChannel& ch,
   const ChannelConfig& cfg = ch.config_;
   const std::size_t n_sc = cfg.n_subcarriers;
   const std::size_t n_pairs = cfg.n_tx * cfg.n_rx;
-  const std::size_t n_paths = scratch.geom.paths.size();
+  const std::size_t n_paths = scratch.paths.size();
   out.resize_for_overwrite(cfg.n_tx, cfg.n_rx, n_sc);
   scratch.basef.resize(n_paths * 2 * n_sc);
   scratch.steerf.resize(n_paths * n_pairs * 2);
@@ -1355,7 +1361,7 @@ void ChannelBatch::synthesize_f32(const WirelessChannel& ch,
   scratch.sinvf.resize(scratch.argf.size());
   scratch.cosvf.resize(scratch.argf.size());
   for (std::size_t p = 0; p < n_paths; ++p) {
-    const WirelessChannel::PathGeometry& path = scratch.geom.paths[p];
+    const PathGeometry& path = scratch.paths[p];
     const double tau = path.length_m / kSpeedOfLight;
     const double centre_phase =
         -2.0 * kPi * cfg.carrier_hz * tau + path.phase0;
@@ -1386,7 +1392,7 @@ void ChannelBatch::synthesize_f32(const WirelessChannel& ch,
   }
 
   for (std::size_t p = 0; p < n_paths; ++p) {
-    const double amp = scratch.geom.paths[p].amplitude;
+    const double amp = scratch.paths[p].amplitude;
     const cplx step{static_cast<double>(scratch.cosvf[4 * p]),
                     static_cast<double>(scratch.sinvf[4 * p])};
     const cplx start{amp * static_cast<double>(scratch.cosvf[4 * p + 1]),
@@ -1457,6 +1463,18 @@ void ChannelBatch::synthesize_f32(const WirelessChannel& ch,
   power_mw = power_sum;
 }
 
+void ChannelBatch::add_csi_noise(WirelessChannel& ch, CsiMatrix& csi,
+                                 double power_mw, double link_snr_db) {
+  // The ACK is received at the link SNR, but the CSI estimator saturates
+  // around csi_snr_cap_db even at high signal levels.
+  const ChannelConfig& cfg = ch.config_;
+  const double snr =
+      std::min(link_snr_db + cfg.csi_processing_gain_db, cfg.csi_snr_cap_db);
+  const double mean_pow = power_mw / static_cast<double>(csi.raw().size());
+  const double noise_var = mean_pow / fast_db_to_linear(snr);
+  ch.rng_.add_complex_gaussian(csi.raw().data(), csi.raw().size(), noise_var);
+}
+
 void ChannelBatch::sample_one(WirelessChannel& ch, const SynthSpec& spec,
                               double t, ChannelSample& out, Scratch& scratch) {
   out.t = t;
@@ -1464,29 +1482,19 @@ void ChannelBatch::sample_one(WirelessChannel& ch, const SynthSpec& spec,
   double csi_power_sum = 0.0;
   synthesize(ch, spec, scratch, out.csi, csi_power_sum);
 
+  // Draw order: CSI noise, RSSI jitter, ToF jitter.
   const ChannelConfig& cfg = ch.config_;
-  const double signal_dbm =
-      fast_mw_to_dbm(WirelessChannel::total_power_mw(scratch.geom.paths));
-  const double link_snr = signal_dbm - fast_noise_floor_dbm(cfg);
+  const double signal = signal_dbm(scratch.paths);
+  const double link_snr = signal - fast_noise_floor_dbm(cfg);
+  add_csi_noise(ch, out.csi, csi_power_sum, link_snr);
 
-  // CSI noise with the variance the per-link add_csi_noise derives, using
-  // the power accumulated during the MAC store pass. Draw order (CSI noise,
-  // RSSI jitter, ToF jitter) matches sample_into, so per-link RNG state
-  // stays in lockstep with unbatched sampling.
-  const double snr =
-      std::min(link_snr + cfg.csi_processing_gain_db, cfg.csi_snr_cap_db);
-  const double mean_pow =
-      csi_power_sum / static_cast<double>(out.csi.raw().size());
-  const double noise_var = mean_pow / fast_db_to_linear(snr);
-  ch.rng_.add_complex_gaussian(out.csi.raw().data(), out.csi.raw().size(),
-                               noise_var);
-
-  const double raw_rssi = signal_dbm + ch.rng_.gaussian(0.0, cfg.rssi_noise_db);
+  const double raw_rssi = signal + ch.rng_.gaussian(0.0, cfg.rssi_noise_db);
   const double q = cfg.rssi_quantum_db;
   out.rssi_dbm = std::round(raw_rssi / q) * q;
   out.snr_db = link_snr;
 
-  const double d = scratch.geom.paths.front().length_m;
+  // The LOS entry's length is exactly the AP-client distance.
+  const double d = scratch.paths.front().length_m;
   const double rt_ns = 2.0 * d / kSpeedOfLight * 1e9;
   const double measured_ns =
       rt_ns + cfg.tof_bias_ns + ch.rng_.gaussian(0.0, cfg.tof_noise_ns);
@@ -1503,59 +1511,20 @@ void ChannelBatch::sample_range(double t, std::size_t begin, std::size_t end,
 
 void ChannelBatch::sample_slot(double t, std::size_t slot, ChannelSample& out,
                                Scratch& scratch) {
-  const SynthSpec spec = SynthSpec::resolve();
-  sample_one(*links_[slot], spec, t, out, scratch);
+  sample_one(*links_[slot], SynthSpec::resolve(), t, out, scratch);
 }
 
 void ChannelBatch::sample_link(WirelessChannel& ch, double t,
                                ChannelSample& out, Scratch& scratch) {
-  const SynthSpec spec = SynthSpec::resolve();
-  sample_one(ch, spec, t, out, scratch);
-}
-
-void ChannelBatch::csi_into(std::size_t i, double t, CsiMatrix& out,
-                            Scratch& scratch) {
-  WirelessChannel& ch = *links_[i];
-  const SynthSpec spec = SynthSpec::resolve();
-  geometries(ch, t, spec, scratch);
-  double csi_power_sum = 0.0;
-  synthesize(ch, spec, scratch, out, csi_power_sum);
-
-  const ChannelConfig& cfg = ch.config_;
-  const double link_snr =
-      fast_mw_to_dbm(WirelessChannel::total_power_mw(scratch.geom.paths)) -
-      fast_noise_floor_dbm(cfg);
-  const double snr =
-      std::min(link_snr + cfg.csi_processing_gain_db, cfg.csi_snr_cap_db);
-  const double mean_pow = csi_power_sum / static_cast<double>(out.raw().size());
-  const double noise_var = mean_pow / fast_db_to_linear(snr);
-  ch.rng_.add_complex_gaussian(out.raw().data(), out.raw().size(), noise_var);
-}
-
-void ChannelBatch::csi_true_into(std::size_t i, double t, CsiMatrix& out,
-                                 Scratch& scratch) const {
-  const WirelessChannel& ch = *links_[i];
-  const SynthSpec spec = SynthSpec::resolve();
-  geometries(ch, t, spec, scratch);
-  double csi_power_sum = 0.0;
-  synthesize(ch, spec, scratch, out, csi_power_sum);
+  sample_one(ch, SynthSpec::resolve(), t, out, scratch);
 }
 
 void ChannelBatch::rssi_all(double t, Scratch& scratch) {
-  const SynthSpec spec = SynthSpec::resolve();
   scratch.rssi.resize(links_.size());
   for (std::size_t i = 0; i < links_.size(); ++i) {
-    if (links_[i] == nullptr) {
-      scratch.rssi[i] = -1e9;  // holes never win strongest_link
-      continue;
-    }
-    WirelessChannel& ch = *links_[i];
-    geometries(ch, t, spec, scratch);
-    const double raw =
-        fast_mw_to_dbm(WirelessChannel::total_power_mw(scratch.geom.paths)) +
-        ch.rng_.gaussian(0.0, ch.config_.rssi_noise_db);
-    const double q = ch.config_.rssi_quantum_db;
-    scratch.rssi[i] = std::round(raw / q) * q;
+    // Holes never win strongest_link.
+    scratch.rssi[i] =
+        links_[i] == nullptr ? -1e9 : links_[i]->rssi_dbm(t, scratch);
   }
 }
 
@@ -1575,6 +1544,83 @@ std::size_t ChannelBatch::strongest_link(double t, Scratch& scratch) {
     }
   }
   return best;
+}
+
+// ---- WirelessChannel sampling entry points ---------------------------------
+// A per-link call is a batch of one: the kernels above, on the caller's
+// scratch. The by-value forms borrow a per-thread scratch so convenience
+// loops stay allocation-free after their first call on each thread.
+
+namespace {
+ChannelScratch& thread_scratch() {
+  thread_local ChannelScratch scratch;
+  return scratch;
+}
+}  // namespace
+
+void WirelessChannel::sample_into(double t, ChannelSample& out,
+                                  ChannelScratch& scratch) {
+  ChannelBatch::sample_link(*this, t, out, scratch);
+}
+
+ChannelSample WirelessChannel::sample(double t) {
+  ChannelSample s;
+  sample_into(t, s, thread_scratch());
+  return s;
+}
+
+void WirelessChannel::csi_at_into(double t, CsiMatrix& out,
+                                  ChannelScratch& scratch) {
+  const ChannelBatch::SynthSpec spec = ChannelBatch::SynthSpec::resolve();
+  ChannelBatch::geometries(*this, t, spec, scratch);
+  double power_mw = 0.0;
+  ChannelBatch::synthesize(*this, spec, scratch, out, power_mw);
+  ChannelBatch::add_csi_noise(
+      *this, out, power_mw,
+      signal_dbm(scratch.paths) - fast_noise_floor_dbm(config_));
+}
+
+CsiMatrix WirelessChannel::csi_at(double t) {
+  CsiMatrix csi;
+  csi_at_into(t, csi, thread_scratch());
+  return csi;
+}
+
+void WirelessChannel::csi_true_into(double t, CsiMatrix& out,
+                                    ChannelScratch& scratch) const {
+  const ChannelBatch::SynthSpec spec = ChannelBatch::SynthSpec::resolve();
+  ChannelBatch::geometries(*this, t, spec, scratch);
+  double power_mw = 0.0;
+  ChannelBatch::synthesize(*this, spec, scratch, out, power_mw);
+}
+
+CsiMatrix WirelessChannel::csi_true(double t) const {
+  CsiMatrix csi;
+  csi_true_into(t, csi, thread_scratch());
+  return csi;
+}
+
+double WirelessChannel::snr_db(double t, ChannelScratch& scratch) const {
+  ChannelBatch::geometries(*this, t, ChannelBatch::SynthSpec::resolve(),
+                           scratch);
+  return signal_dbm(scratch.paths) - fast_noise_floor_dbm(config_);
+}
+
+double WirelessChannel::snr_db(double t) const {
+  return snr_db(t, thread_scratch());
+}
+
+double WirelessChannel::rssi_dbm(double t, ChannelScratch& scratch) {
+  ChannelBatch::geometries(*this, t, ChannelBatch::SynthSpec::resolve(),
+                           scratch);
+  const double raw =
+      signal_dbm(scratch.paths) + rng_.gaussian(0.0, config_.rssi_noise_db);
+  const double q = config_.rssi_quantum_db;
+  return std::round(raw / q) * q;
+}
+
+double WirelessChannel::rssi_dbm(double t) {
+  return rssi_dbm(t, thread_scratch());
 }
 
 }  // namespace mobiwlan

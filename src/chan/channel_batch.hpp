@@ -1,12 +1,13 @@
-// channel_batch.hpp — batched multi-link channel engine.
+// channel_batch.hpp — the channel engine.
 //
-// A ChannelBatch advances N independent AP-client links in one
-// structure-of-arrays pass. The per-link sampler (WirelessChannel::
-// sample_into) is already allocation-free, but it pays per-sample costs that
-// a batch can amortize or avoid:
+// Geometry and CSI synthesis for every WirelessChannel run here, once: a
+// ChannelBatch advances N independent AP-client links in one
+// structure-of-arrays pass, and each WirelessChannel sampling entry point
+// (sample_into, csi_at_into, csi_true_into, rssi_dbm, snr_db) is the same
+// kernels applied to a batch of one. What the kernels do per sample:
 //
-//   * the AVX2/FMA dispatch (`simd::use_avx2fma()`) is resolved once per
-//     range call, not once per sample;
+//   * the SIMD tier (`simd::active_tier()`) and precision are resolved once
+//     per call — per range for the batch calls;
 //   * one scratch arena per *worker* holds the path geometries, the
 //     path-major base-phasor planes and the ULA steering table for every
 //     path of the link being synthesized, so the working set stays in L1
@@ -14,22 +15,20 @@
 //   * the steer x base multiply-accumulate runs as a register-blocked fused
 //     kernel: all antenna-pair accumulators for a 4-subcarrier block live in
 //     registers while the path loop runs, and the result is stored directly
-//     into the CsiMatrix (interleaved), eliminating the per-pair
-//     accumulation planes, their zero-fill, and the final conversion pass;
+//     into the CsiMatrix (interleaved);
 //   * the wideband power needed for the CSI noise variance is accumulated
 //     during that store instead of by a second pass over the matrix;
 //   * geometry phases use the extended-range fastmath kernels
-//     (fastmath::sincos_wide, log10_pos, db_to_amplitude) where the
-//     per-link path uses libm.
+//     (fastmath::sincos_wide, log10_pos, db_to_amplitude) instead of libm.
 //
-// Numerical contract: batched output is equivalent to N independent
-// `WirelessChannel::sample_into` calls to <= 1e-12 relative (the register
-// blocking preserves the per-element accumulation order over paths, so the
-// MAC itself is bitwise-identical to the per-link kernel; the fastmath
-// substitutions account for the tolerance). The RNG draw *sequence* per link
-// is identical, so per-link generator state stays in lockstep with the
-// unbatched engine — a link can move between batched and per-link sampling
-// mid-run without forking its randomness.
+// Numerical contract: the engine is its own reference. Every output is
+// bitwise-identical across the scalar, AVX2 and AVX-512 tiers (each vector
+// kernel has a scalar lane mirror), across batch and per-link calls, and
+// across range chunkings; the golden fixtures in
+// tests/chan/channel_equivalence_test.cpp pin it to the original channel
+// model to <= 1e-12. The RNG draw sequence per link (CSI noise, RSSI
+// jitter, ToF jitter) is fixed, so a link can move between batched and
+// per-link sampling mid-run without forking its randomness.
 //
 // Precision tiers: the default (simd::Precision::kFloat64) holds the
 // contract above. Under MOBIWLAN_PRECISION=fp32 the phasor planes, the
@@ -37,7 +36,8 @@
 // 16-lane AVX-512), with an error-bounded contract instead: CSI agrees with
 // the fp64 reference to <= 1e-4 scale-relative, while geometry and every
 // RNG draw stay double so RSSI/ToF readings and RNG state remain *bitwise*
-// identical across precision tiers. See DESIGN.md §5 "Precision tiers".
+// identical across precision tiers. The setting covers every caller, batch
+// and per-link alike. See DESIGN.md §5 "Precision tiers".
 //
 // Thread safety: links may be partitioned across workers (e.g. via
 // ThreadPool::parallel_for) as long as every worker owns a disjoint link
@@ -53,26 +53,40 @@
 
 namespace mobiwlan {
 
+/// Geometry of one propagation path at a time instant. Steering angles are
+/// carried as cosines (the only form the ULA phase terms need), computed as
+/// coordinate ratios instead of cos(atan2(...)).
+struct PathGeometry {
+  double length_m;   ///< total propagation length
+  double amplitude;  ///< sqrt(mW) received amplitude
+  double phase0;     ///< reflection phase offset
+  double cos_aod;    ///< cos(departure angle at the AP array)
+  double cos_aoa;    ///< cos(arrival angle at the client array)
+};
+
+/// Per-worker workspace of the channel engine (ChannelBatch::Scratch). All
+/// buffers grow to the largest path / antenna counts seen on first use and
+/// are reused thereafter: sampling through a retained scratch performs zero
+/// heap allocations in steady state.
+struct ChannelScratch {
+  std::vector<PathGeometry> paths;  ///< LOS first, then one per scatterer
+  std::vector<double> base;   ///< path-major phasor planes: [path][re|im][sc]
+  std::vector<double> steer;  ///< ULA steering phasors: [path][pair][re,im]
+  std::vector<double> rssi;   ///< per-link RSSI plane for scans
+  // Staging planes for the 4-lane transcendental passes (oscillator
+  // arguments, squared lengths, loss exponents), padded to lane multiples.
+  std::vector<double> arg, sinv, cosv, len, dxs, amp;
+  // fp32 tier planes (simd::Precision::kFloat32): the phasor/steering
+  // planes and the sincos staging in float, contiguous so the kernel stays
+  // GPU-portable. Geometry (paths/len/dxs/amp) and the RSSI plane stay
+  // double on every tier.
+  std::vector<float> basef, steerf, argf, sinvf, cosvf;
+};
+
 /// Batched view over N independent links (non-owning).
 class ChannelBatch {
  public:
-  /// Per-worker workspace. All buffers grow to the batch's maximum path /
-  /// antenna counts on first use and are reused thereafter: sampling through
-  /// a retained Scratch performs zero heap allocations in steady state.
-  struct Scratch {
-    WirelessChannel::PathScratch geom;  ///< path geometries (paths vector)
-    std::vector<double> base;   ///< path-major phasor planes: [path][re|im][sc]
-    std::vector<double> steer;  ///< ULA steering phasors: [path][pair][re,im]
-    std::vector<double> rssi;   ///< per-link RSSI plane for scans
-    // Staging planes for the 4-lane transcendental passes (oscillator
-    // arguments, squared lengths, loss exponents), padded to lane multiples.
-    std::vector<double> arg, sinv, cosv, len, dxs, amp;
-    // fp32 tier planes (simd::Precision::kFloat32): the phasor/steering
-    // planes and the sincos staging in float, contiguous so the batch
-    // kernel stays GPU-portable. Geometry (geom/len/dxs/amp) and the RSSI
-    // plane stay double on every tier.
-    std::vector<float> basef, steerf, argf, sinvf, cosvf;
-  };
+  using Scratch = ChannelScratch;
 
   ChannelBatch() = default;
 
@@ -140,24 +154,13 @@ class ChannelBatch {
     if (const WirelessChannel* ch = links_[slot]) ch->prefetch();
   }
 
-  /// One full observation of a link that is not (or not yet) registered
-  /// with any batch, through the *batched* kernels — same bits as a
-  /// sample_range call would produce for it. The campus uses this for the
-  /// association burst that precedes a session's first batched epoch, so
-  /// its digests never mix per-link and batched kernel bits.
+  /// One full observation of any link, registered or not — the same bits
+  /// ch.sample_into(t, out, scratch) and a sample_range call give it.
   static void sample_link(WirelessChannel& ch, double t, ChannelSample& out,
                           Scratch& scratch);
 
-  /// Measured (noisy) CSI for one link — the classifier cadence entry point.
-  void csi_into(std::size_t i, double t, CsiMatrix& out, Scratch& scratch);
-
-  /// Noiseless CSI for one link (no RNG draws).
-  void csi_true_into(std::size_t i, double t, CsiMatrix& out,
-                     Scratch& scratch) const;
-
   /// Quantized RSSI for every link at time t into scratch.rssi — the roaming
-  /// scan as one pass (one geometry evaluation per link, same per-link draw
-  /// order as WirelessChannel::rssi_dbm).
+  /// scan as one pass (WirelessChannel::rssi_dbm per link, in link order).
   void rssi_all(double t, Scratch& scratch);
 
   /// One noisy ToF reading per link at time t into out[0..size()) — the
@@ -169,10 +172,13 @@ class ChannelBatch {
   std::size_t strongest_link(double t, Scratch& scratch);
 
  private:
-  struct SynthSpec;  // resolved kernel + layout for one range call
+  // WirelessChannel's sampling entry points run these kernels directly.
+  friend class WirelessChannel;
+
+  struct SynthSpec;  // resolved kernel + layout for one call
 
   // The kernels are static: they touch only the passed link and scratch,
-  // which is what lets sample_link serve unregistered links.
+  // which is what lets every per-link entry point be a batch of one.
   static void geometries(const WirelessChannel& ch, double t,
                          const SynthSpec& spec, Scratch& scratch);
   static void geometries_wide(const WirelessChannel& ch, double t,
@@ -186,6 +192,10 @@ class ChannelBatch {
                              double& power_mw);
   static void sample_one(WirelessChannel& ch, const SynthSpec& spec, double t,
                          ChannelSample& out, Scratch& scratch);
+  /// Measurement noise on synthesized CSI whose summed |h|^2 is `power_mw`,
+  /// at the link SNR `link_snr_db` (one draw batch from ch's RNG).
+  static void add_csi_noise(WirelessChannel& ch, CsiMatrix& csi,
+                            double power_mw, double link_snr_db);
 
   std::vector<WirelessChannel*> links_;
   std::vector<std::size_t> free_slots_;  // LIFO recycled holes

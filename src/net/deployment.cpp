@@ -16,7 +16,7 @@ WlanDeployment::WlanDeployment(std::vector<Vec2> ap_positions,
 
 std::size_t WlanDeployment::strongest_ap(double t) {
   // Batched scan: one RSSI draw per AP in AP order, first-wins argmax —
-  // the same contract as the per-link rssi_dbm loop it replaces.
+  // the same draws as a per-AP rssi_dbm loop.
   return batch_.strongest_link(t, scratch_);
 }
 

@@ -37,10 +37,6 @@ class WlanDeployment {
   /// sweep as a single batched pass. `out` must hold n_aps() entries.
   void tof_sweep(double t, double* out) { batch_.tof_all(t, out); }
 
-  /// The batched view over every AP channel, for callers that advance all
-  /// links per tick (one pass per tick instead of n_aps() per-link calls).
-  ChannelBatch& batch() { return batch_; }
-
   /// The standard 6-AP corridor used by the §3 and §7 experiments:
   /// APs every `spacing` metres along a hallway.
   static std::vector<Vec2> corridor_layout(std::size_t n_aps = 6,

@@ -3,21 +3,13 @@
 namespace mobiwlan {
 
 bool LiveDeploymentSource::csi(std::uint32_t unit, double t, CsiMatrix& out) {
-  if (path_ == CsiPath::kBatched) {
-    wlan_.batch().csi_into(unit, t, out, batch_scratch_);
-  } else {
-    wlan_.channel(unit).csi_at_into(t, out, scratch_);
-  }
+  wlan_.channel(unit).csi_at_into(t, out, scratch_);
   return true;
 }
 
 bool LiveDeploymentSource::csi_true(std::uint32_t unit, double t,
                                     CsiMatrix& out) {
-  if (path_ == CsiPath::kBatched) {
-    wlan_.batch().csi_true_into(unit, t, out, batch_scratch_);
-  } else {
-    wlan_.channel(unit).csi_true_into(t, out, scratch_);
-  }
+  wlan_.channel(unit).csi_true_into(t, out, scratch_);
   return true;
 }
 

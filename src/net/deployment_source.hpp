@@ -1,13 +1,10 @@
 // deployment_source.hpp — the live multi-AP ObservableSource.
 //
 // Wraps a WlanDeployment as a trace::ObservableSource (unit = AP index) so
-// the roaming and end-to-end loops run source-driven. The CsiPath flag
-// exists because the batched CSI engine is only ≤1e-12-equivalent to the
-// per-link path (SIMD accumulation order), not bitwise: each loop must keep
-// the exact CSI call path it had before the source interface, or recorded
-// baselines would shift. Scalar observables (RSSI, ToF, SNR) are bitwise
-// identical either way, and the batched scan/sweep overrides keep the fast
-// paths the deployment already provides.
+// the roaming and end-to-end loops run source-driven. Per-unit reads go
+// through the AP's channel on one retained scratch (allocation-free in
+// steady state); the scan/sweep overrides keep the batched passes the
+// deployment already provides, with the same draws as per-unit reads.
 #pragma once
 
 #include "net/deployment.hpp"
@@ -17,13 +14,8 @@ namespace mobiwlan {
 
 class LiveDeploymentSource : public trace::ObservableSource {
  public:
-  enum class CsiPath {
-    kPerLink,  ///< channel(ap).csi_at_into — roaming's historical path
-    kBatched,  ///< batch().csi_into — the end-to-end loop's historical path
-  };
-
-  LiveDeploymentSource(WlanDeployment& wlan, CsiPath path)
-      : wlan_(wlan), path_(path), sweep_(wlan.n_aps()) {}
+  explicit LiveDeploymentSource(WlanDeployment& wlan)
+      : wlan_(wlan), sweep_(wlan.n_aps()) {}
 
   std::size_t n_units() const override { return wlan_.n_aps(); }
   bool has(trace::StreamKind) const override { return true; }
@@ -34,16 +26,16 @@ class LiveDeploymentSource : public trace::ObservableSource {
   }
   bool csi_true(std::uint32_t unit, double t, CsiMatrix& out) override;
   std::optional<double> rssi_dbm(std::uint32_t unit, double t) override {
-    return wlan_.channel(unit).rssi_dbm(t);
+    return wlan_.channel(unit).rssi_dbm(t, scratch_);
   }
   std::optional<double> scan_rssi_dbm(std::uint32_t unit, double t) override {
-    return wlan_.channel(unit).rssi_dbm(t);
+    return rssi_dbm(unit, t);
   }
   std::optional<double> tof_cycles(std::uint32_t unit, double t) override {
     return wlan_.channel(unit).tof_cycles(t);
   }
   std::optional<double> snr_db(std::uint32_t unit, double t) override {
-    return wlan_.channel(unit).snr_db(t);
+    return wlan_.channel(unit).snr_db(t, scratch_);
   }
   std::optional<double> true_distance(std::uint32_t unit, double t) override {
     return wlan_.channel(unit).true_distance(t);
@@ -62,10 +54,8 @@ class LiveDeploymentSource : public trace::ObservableSource {
 
  private:
   WlanDeployment& wlan_;
-  CsiPath path_;
   std::vector<double> sweep_;
-  WirelessChannel::PathScratch scratch_;
-  ChannelBatch::Scratch batch_scratch_;
+  ChannelBatch::Scratch scratch_;
 };
 
 }  // namespace mobiwlan

@@ -43,9 +43,7 @@ double ground(std::optional<double> v, const char* what) {
 
 RoamingResult simulate_roaming(WlanDeployment& wlan, RoamingScheme scheme,
                                const RoamingConfig& config, Rng& rng) {
-  // Per-link CSI path: the historical loop read wlan.channel(ap).csi_at(),
-  // which is only ≤1e-12-equal (not bitwise) to the batched engine.
-  LiveDeploymentSource live(wlan, LiveDeploymentSource::CsiPath::kPerLink);
+  LiveDeploymentSource live(wlan);
   trace::FaultedSource src(live, config.fault);
   return simulate_roaming(src, scheme, config, rng,
                           wlan.client().mobility_class());

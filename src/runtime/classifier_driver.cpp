@@ -8,19 +8,15 @@ void run_classifier(const Scenario& s, double duration_s, double warmup_s,
                     const std::function<void(double, MobilityMode)>& on_second,
                     MobilityClassifier::Config cfg) {
   MobilityClassifier clf(cfg);
-  // The CSI cadence runs through the batched engine (single-link batch):
-  // identical draw order to csi_at_into, so trial output is unchanged, but
-  // the synthesis path is the vectorized one. Scratch and matrix are reused
-  // across the whole run — no heap allocation after the first sample.
-  ChannelBatch batch;
-  batch.add_link(s.channel.get());
+  // Scratch and matrix are reused across the whole run — no heap
+  // allocation after the first sample.
   ChannelBatch::Scratch scratch;
   CsiMatrix csi;
   double next_csi = 0.0;
   double next_second = warmup_s;
   for (double t = 0.0; t < duration_s; t += cfg.tof_period_s) {
     if (t >= next_csi - 1e-9) {
-      batch.csi_into(0, t, csi, scratch);
+      s.channel->csi_at_into(t, csi, scratch);
       clf.on_csi(t, csi);
       next_csi += cfg.csi_period_s;
     }

@@ -36,9 +36,7 @@ void ground_csi(bool ok, const char* what) {
 
 OverallSimResult simulate_overall(WlanDeployment& wlan,
                                   const OverallSimConfig& config, Rng& rng) {
-  // Batched CSI path: the historical loop read batch.csi_into(), which is
-  // only ≤1e-12-equal (not bitwise) to the per-link path.
-  LiveDeploymentSource src(wlan, LiveDeploymentSource::CsiPath::kBatched);
+  LiveDeploymentSource src(wlan);
   return simulate_overall(src, config, rng);
 }
 

@@ -36,6 +36,7 @@
 #include <optional>
 
 #include "chan/channel.hpp"
+#include "chan/channel_batch.hpp"
 #include "fault/fault.hpp"
 #include "trace/format.hpp"
 #include "trace/trace_io.hpp"
@@ -114,7 +115,7 @@ class LiveChannelSource : public ObservableSource {
     return true;
   }
   std::optional<double> rssi_dbm(std::uint32_t, double t) override {
-    return channel_.rssi_dbm(t);
+    return channel_.rssi_dbm(t, scratch_);
   }
   std::optional<double> scan_rssi_dbm(std::uint32_t u, double t) override {
     return rssi_dbm(u, t);
@@ -123,7 +124,7 @@ class LiveChannelSource : public ObservableSource {
     return channel_.tof_cycles(t);
   }
   std::optional<double> snr_db(std::uint32_t, double t) override {
-    return channel_.snr_db(t);
+    return channel_.snr_db(t, scratch_);
   }
   std::optional<double> true_distance(std::uint32_t, double t) override {
     return channel_.true_distance(t);
@@ -133,7 +134,7 @@ class LiveChannelSource : public ObservableSource {
 
  private:
   WirelessChannel& channel_;
-  WirelessChannel::PathScratch scratch_;
+  ChannelBatch::Scratch scratch_;
 };
 
 /// Tee: forwards every read to `inner` and logs each one to the writer at

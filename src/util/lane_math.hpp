@@ -20,12 +20,10 @@
 // on every conforming host. tests/util/lane_exact_test.cpp asserts exactly
 // that across the kernels' documented domains.
 //
-// Callers: the scalar fallbacks of the batched channel engine
+// Callers: the scalar fallbacks of the channel engine
 // (chan/channel_batch.cpp), the Box-Muller noise fill (util/rng.cpp) and
 // the Eq.-1 similarity kernel (core/csi_similarity.cpp) — the code paths
-// whose outputs flow into gated digests. The per-link channel path
-// (chan/channel.cpp) keeps the original fastmath kernels: its bitstream is
-// frozen by the golden fixtures and the fidelity gate.
+// whose outputs flow into gated digests.
 #pragma once
 
 #include <bit>

@@ -1,18 +1,13 @@
 // channel_batch_equivalence_test — ChannelBatch vs per-link sampling.
 //
-// The batched engine must be a drop-in for N independent
-// WirelessChannel::sample_into loops: identical RNG draw order per link
-// (quantized outputs match exactly) and CSI equal to within 1e-12 of the
-// link's own CSI scale. The tolerance is scale-relative, not per-element
-// relative: deep-faded subcarriers carry ~1e-15 absolute error like every
-// other element, but their magnitudes are arbitrarily small, so a
-// per-element relative measure would amplify noise on values that carry no
-// signal. CMake re-runs this binary under MOBIWLAN_FORCE_SCALAR=1, which
-// pins both sides to their scalar kernels.
+// Per-link sampling is a batch of one, so the batch range calls must be a
+// bitwise drop-in for N independent WirelessChannel::sample_into loops:
+// identical RNG draw order per link and identical bits in every output
+// (CSI, SNR, RSSI, ToF, distance), however the range is chunked. CMake
+// re-runs this binary under MOBIWLAN_FORCE_SCALAR=1 and each forced
+// MOBIWLAN_SIMD_TIER, which pins both sides to that tier's kernels.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -43,21 +38,13 @@ struct GoldenPair {
   }
 };
 
-double csi_scale(const CsiMatrix& m) {
-  double scale = 0.0;
-  for (const cplx& z : m.raw())
-    scale = std::max({scale, std::abs(z.real()), std::abs(z.imag())});
-  return std::max(scale, 1e-300);
-}
-
-void expect_csi_close(const CsiMatrix& got, const CsiMatrix& want,
+void expect_csi_equal(const CsiMatrix& got, const CsiMatrix& want,
                       const char* what, std::size_t link) {
   ASSERT_EQ(got.raw().size(), want.raw().size());
-  const double tol = 1e-12 * csi_scale(want);
   for (std::size_t k = 0; k < want.raw().size(); ++k) {
-    EXPECT_NEAR(got.raw()[k].real(), want.raw()[k].real(), tol)
+    EXPECT_EQ(got.raw()[k].real(), want.raw()[k].real())
         << what << " link " << link << " element " << k;
-    EXPECT_NEAR(got.raw()[k].imag(), want.raw()[k].imag(), tol)
+    EXPECT_EQ(got.raw()[k].imag(), want.raw()[k].imag())
         << what << " link " << link << " element " << k;
   }
 }
@@ -66,7 +53,7 @@ TEST(ChannelBatchEquivalence, SampleRangeMatchesPerLinkLoop) {
   GoldenPair g;
   ChannelBatch::Scratch scratch;
   std::vector<ChannelSample> out(kNumCases);
-  WirelessChannel::PathScratch ref_scratch;
+  ChannelBatch::Scratch ref_scratch;
   ChannelSample ref;
 
   for (const double t : {0.0, 0.25, 0.5, 1.0, 2.0, 3.5}) {
@@ -75,17 +62,12 @@ TEST(ChannelBatchEquivalence, SampleRangeMatchesPerLinkLoop) {
       g.ref_links[i]->sample_into(t, ref, ref_scratch);
       SCOPED_TRACE(::testing::Message()
                    << goldencase::case_name(i) << " at t=" << t);
-      // Quantized outputs share the exact draw sequence, so they match
-      // bitwise; SNR is continuous and the batch derives it through the
-      // fastmath log, so it agrees to rounding instead.
       EXPECT_EQ(out[i].rssi_dbm, ref.rssi_dbm);
       EXPECT_EQ(out[i].tof_cycles, ref.tof_cycles);
-      EXPECT_NEAR(out[i].snr_db, ref.snr_db,
-                  1e-12 * std::max(1.0, std::abs(ref.snr_db)));
+      EXPECT_EQ(out[i].snr_db, ref.snr_db);
       EXPECT_EQ(out[i].t, ref.t);
-      EXPECT_NEAR(out[i].true_distance_m, ref.true_distance_m,
-                  1e-12 * std::max(1.0, ref.true_distance_m));
-      expect_csi_close(out[i].csi, ref.csi, "sample_range", i);
+      EXPECT_EQ(out[i].true_distance_m, ref.true_distance_m);
+      expect_csi_equal(out[i].csi, ref.csi, "sample_range", i);
     }
   }
 }
@@ -94,7 +76,7 @@ TEST(ChannelBatchEquivalence, SubrangeSamplingMatches) {
   GoldenPair g;
   ChannelBatch::Scratch scratch;
   std::vector<ChannelSample> out(kNumCases);
-  WirelessChannel::PathScratch ref_scratch;
+  ChannelBatch::Scratch ref_scratch;
   ChannelSample ref;
 
   // Two disjoint ranges cover the batch; the per-link results must not
@@ -106,7 +88,9 @@ TEST(ChannelBatchEquivalence, SubrangeSamplingMatches) {
     SCOPED_TRACE(goldencase::case_name(i));
     EXPECT_EQ(out[i].rssi_dbm, ref.rssi_dbm);
     EXPECT_EQ(out[i].tof_cycles, ref.tof_cycles);
-    expect_csi_close(out[i].csi, ref.csi, "subrange", i);
+    EXPECT_EQ(out[i].snr_db, ref.snr_db);
+    EXPECT_EQ(out[i].true_distance_m, ref.true_distance_m);
+    expect_csi_equal(out[i].csi, ref.csi, "subrange", i);
   }
 }
 
@@ -115,17 +99,21 @@ TEST(ChannelBatchEquivalence, MeasuredAndTrueCsiMatch) {
   ChannelBatch::Scratch scratch;
   CsiMatrix got;
   CsiMatrix want;
-  WirelessChannel::PathScratch ref_scratch;
+  ChannelBatch::Scratch ref_scratch;
 
   for (std::size_t i = 0; i < kNumCases; ++i) {
     SCOPED_TRACE(goldencase::case_name(i));
-    g.batch.csi_into(i, 0.75, got, scratch);
+    g.batch.link(i).csi_at_into(0.75, got, scratch);
     g.ref_links[i]->csi_at_into(0.75, want, ref_scratch);
-    expect_csi_close(got, want, "csi_into", i);
+    expect_csi_equal(got, want, "csi_at_into", i);
 
-    g.batch.csi_true_into(i, 2.0, got, scratch);
+    g.batch.link(i).csi_true_into(2.0, got, scratch);
     g.ref_links[i]->csi_true_into(2.0, want, ref_scratch);
-    expect_csi_close(got, want, "csi_true_into", i);
+    expect_csi_equal(got, want, "csi_true_into", i);
+
+    // The scratch and by-value SNR overloads run the same geometry pass.
+    EXPECT_EQ(g.batch.link(i).snr_db(1.25, scratch),
+              g.ref_links[i]->snr_db(1.25));
   }
 }
 

@@ -97,9 +97,9 @@ TEST(ChannelBatchF32, TrueCsiWithinBudgetOfFp64) {
                    << goldencase::case_name(i) << " at t=" << t);
       {
         PrecisionGuard guard(1);
-        g.f32_batch.csi_true_into(i, t, got, s32);
+        g.f32_batch.link(i).csi_true_into(t, got, s32);
       }
-      g.f64_batch.csi_true_into(i, t, want, s64);
+      g.f64_batch.link(i).csi_true_into(t, want, s64);
       expect_csi_f32_close(got, want, "csi_true_into", i);
     }
   }
@@ -109,16 +109,16 @@ TEST(ChannelBatchF32, MeasuredCsiWithinBudgetOfFp64) {
   GoldenTierPair g;
   ChannelBatch::Scratch s32, s64;
   CsiMatrix got, want;
-  // csi_into draws measurement noise; identical draw order on both sides
+  // csi_at_into draws measurement noise; identical draw order on both sides
   // keeps the noise realizations equal, leaving only the synthesis delta.
   for (std::size_t i = 0; i < kNumCases; ++i) {
     SCOPED_TRACE(goldencase::case_name(i));
     {
       PrecisionGuard guard(1);
-      g.f32_batch.csi_into(i, 0.75, got, s32);
+      g.f32_batch.link(i).csi_at_into(0.75, got, s32);
     }
-    g.f64_batch.csi_into(i, 0.75, want, s64);
-    expect_csi_f32_close(got, want, "csi_into", i);
+    g.f64_batch.link(i).csi_at_into(0.75, want, s64);
+    expect_csi_f32_close(got, want, "csi_at_into", i);
   }
 }
 
@@ -161,9 +161,9 @@ TEST(ChannelBatchF32, TiersAgreeOnFp32Plane) {
   PrecisionGuard precision(1);
   for (std::size_t i = 0; i < kNumCases; ++i) {
     SCOPED_TRACE(goldencase::case_name(i));
-    g.f32_batch.csi_true_into(i, 1.25, wide, s_wide);
+    g.f32_batch.link(i).csi_true_into(1.25, wide, s_wide);
     simd::set_forced_tier(0);
-    g.f64_batch.csi_true_into(i, 1.25, scalar, s_scalar);
+    g.f64_batch.link(i).csi_true_into(1.25, scalar, s_scalar);
     simd::set_forced_tier(-1);
     ASSERT_EQ(wide.raw().size(), scalar.raw().size());
     const double tol = 5e-6 * csi_scale(scalar);
@@ -207,12 +207,12 @@ TEST(ChannelBatchF32, SteadyStateAllocatesNothing) {
   CsiMatrix m;
   // Warm every fp32 scratch plane (base, steering, staging) once.
   g.f32_batch.sample_range(0.0, 0, kNumCases, out.data(), scratch);
-  g.f32_batch.csi_true_into(0, 0.0, m, scratch);
+  g.f32_batch.link(0).csi_true_into(0.0, m, scratch);
   const std::uint64_t before = alloc_count();
   for (int step = 1; step <= 64; ++step) {
     const double t = 0.01 * step;
     g.f32_batch.sample_range(t, 0, kNumCases, out.data(), scratch);
-    g.f32_batch.csi_true_into(step % kNumCases, t, m, scratch);
+    g.f32_batch.link(step % kNumCases).csi_true_into(t, m, scratch);
   }
   EXPECT_EQ(alloc_count(), before)
       << "fp32 steady-state sampling touched the heap";

@@ -55,14 +55,14 @@ TEST_F(BatchFixture, SingleLinkCsiSteadyStateIsAllocationFree) {
   CsiMatrix truth;
   double t = 0.0;
   for (int pass = 0; pass < 3; ++pass) {
-    batch.csi_into(pass % kNumCases, t, meas, scratch);
-    batch.csi_true_into(pass % kNumCases, t, truth, scratch);
+    batch.link(pass % kNumCases).csi_at_into(t, meas, scratch);
+    batch.link(pass % kNumCases).csi_true_into(t, truth, scratch);
     t += 0.001;
   }
   const std::uint64_t before = alloc_count();
   for (int pass = 0; pass < 32; ++pass) {
-    batch.csi_into(pass % kNumCases, t, meas, scratch);
-    batch.csi_true_into(pass % kNumCases, t, truth, scratch);
+    batch.link(pass % kNumCases).csi_at_into(t, meas, scratch);
+    batch.link(pass % kNumCases).csi_true_into(t, truth, scratch);
     t += 0.001;
   }
   EXPECT_EQ(alloc_count() - before, 0u);

@@ -1,6 +1,7 @@
-// Golden equivalence: the single-pass, scratch-buffer channel implementation
-// must reproduce the pre-refactor implementation's values to 1e-12 across one
-// channel per (mobility class x environmental activity) cell. The fixtures
+// Golden equivalence: the channel engine (the ChannelBatch kernels every
+// per-link entry point runs) must reproduce the original implementation's
+// values to 1e-12 across one channel per (mobility class x environmental
+// activity) cell — the oracle for the one engine. The fixtures
 // were captured from the original multi-pass code (commit afc9ea0) over the
 // exact realizations built by make_golden_channel(); the noisy sample()
 // snapshots additionally pin the RNG draw order (CSI noise, then RSSI jitter,
@@ -9,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "chan/channel_batch.hpp"
 #include "channel_golden_cases.hpp"
 #include "phy/csi.hpp"
 
@@ -90,7 +92,7 @@ INSTANTIATE_TEST_SUITE_P(AllCases, ChannelEquivalence,
 TEST(ChannelEquivalence, ScratchApiMatchesWrappers) {
   auto a = goldencase::make_golden_channel(7);
   auto b = goldencase::make_golden_channel(7);
-  WirelessChannel::PathScratch scratch;
+  ChannelBatch::Scratch scratch;
   ChannelSample s_into;
   for (int k = 0; k < 5; ++k) {
     const double t = 0.3 * k;

@@ -3,10 +3,10 @@
 // actually reach every dispatch site.
 //
 // Runs the golden channel realizations (the same eight the equivalence
-// fixtures pin) once per variant through the full noisy pipeline —
-// synthesis MAC (chan/channel.cpp) and Box-Muller noise fill (util/rng.cpp)
-// both re-consult simd::use_avx2fma() per call, which is what this test
-// leans on. On hosts without AVX2+FMA both runs take the scalar path and
+// fixtures pin) once per variant through the full noisy pipeline — the
+// channel engine (chan/channel_batch.cpp) and the Box-Muller noise fill
+// (util/rng.cpp) both re-resolve the SIMD tier per call, which is what this
+// test leans on. On hosts without AVX2+FMA both runs take the scalar path and
 // the comparison is trivially exact; ctest also registers the whole seed
 // suite under MOBIWLAN_FORCE_SCALAR=1 (label tier2) so the scalar fallback
 // stays green on AVX2 machines too.
@@ -156,6 +156,10 @@ TEST(SimdDispatchTest, TierAndPrecisionNames) {
 }
 
 TEST(SimdDispatchTest, ScalarAndSimdChannelsAgreeOnGoldenCases) {
+  // The fp64 engine is tier-invariant: every vector kernel has a scalar
+  // lane mirror. (The fp32 tier's cross-tier budget is pinned separately in
+  // channel_batch_f32_test.)
+  simd::set_forced_precision(0);
   for (std::size_t idx = 0; idx < goldencase::kNumCases; ++idx) {
     SCOPED_TRACE(goldencase::case_name(idx));
     std::vector<ChannelSample> scalar, dispatched;
@@ -171,21 +175,21 @@ TEST(SimdDispatchTest, ScalarAndSimdChannelsAgreeOnGoldenCases) {
     for (std::size_t k = 0; k < scalar.size(); ++k) {
       const ChannelSample& a = scalar[k];
       const ChannelSample& b = dispatched[k];
-      // Same numerical-equivalence budget as the golden fixtures: the AVX2
-      // variants reproduce the scalar arithmetic (FMA contraction included)
-      // to <= 1e-12 on every observable.
-      EXPECT_NEAR(a.rssi_dbm, b.rssi_dbm, 1e-12) << "sample " << k;
-      EXPECT_NEAR(a.snr_db, b.snr_db, 1e-12) << "sample " << k;
-      EXPECT_NEAR(a.tof_cycles, b.tof_cycles, 1e-12) << "sample " << k;
+      // The vector variants reproduce the scalar arithmetic (FMA
+      // contraction included) bit for bit on every observable.
+      EXPECT_EQ(a.rssi_dbm, b.rssi_dbm) << "sample " << k;
+      EXPECT_EQ(a.snr_db, b.snr_db) << "sample " << k;
+      EXPECT_EQ(a.tof_cycles, b.tof_cycles) << "sample " << k;
       ASSERT_EQ(a.csi.raw().size(), b.csi.raw().size());
       for (std::size_t e = 0; e < a.csi.raw().size(); ++e) {
-        EXPECT_NEAR(a.csi.raw()[e].real(), b.csi.raw()[e].real(), 1e-12)
+        EXPECT_EQ(a.csi.raw()[e].real(), b.csi.raw()[e].real())
             << "sample " << k << " entry " << e;
-        EXPECT_NEAR(a.csi.raw()[e].imag(), b.csi.raw()[e].imag(), 1e-12)
+        EXPECT_EQ(a.csi.raw()[e].imag(), b.csi.raw()[e].imag())
             << "sample " << k << " entry " << e;
       }
     }
   }
+  simd::set_forced_precision(-1);
 }
 
 }  // namespace
