@@ -1,9 +1,11 @@
-// perf.cpp — hot-path microbenchmarks for `mobiwlan-bench --perf`.
+// perf.cpp — hot-path microbenchmarks for `mobiwlan-bench --suite perf`.
 //
 // The cases cover the per-packet pipeline the runtime loops execute
 // millions of times per study — full channel sampling, bare CSI synthesis
 // at both precision tiers, the beamscan AoA, CSI similarity and one
-// classifier CSI step — plus the thread pool and a campus epoch. Each case
+// classifier CSI step — plus the thread pool and a campus epoch, and a
+// measure-only set of PHY primitives (SNR, effective SNR, beamforming
+// gains, PER, MCS choice, the classifier ToF step). Each case
 // exercises the scratch-buffer (zero-allocation) API that the steady-state
 // loops use, so allocs_per_op doubles as a regression check on the
 // allocation-free contract whenever the counting hook is linked (it is, in
@@ -29,6 +31,9 @@
 #include "core/csi_similarity.hpp"
 #include "core/mobility_classifier.hpp"
 #include "phy/aoa.hpp"
+#include "phy/beamforming.hpp"
+#include "phy/error_model.hpp"
+#include "phy/mcs.hpp"
 #include "runtime/thread_pool.hpp"
 #include "suite/suite.hpp"
 #include "util/alloc_count.hpp"
@@ -188,6 +193,91 @@ PerfResult run_classifier_csi_step(double min_time_s) {
   });
 }
 
+// ---- measure-only PHY primitives -------------------------------------------
+// The costs that decide whether the classifier and the trace emulators run
+// at line rate on an AP-class CPU. No gate_* key exists for these, so
+// `--check` reports them as skipped; they are timed for the record.
+
+/// A 3x2 (or `tx` x `rx`) CSI matrix of i.i.d. complex Gaussian entries.
+CsiMatrix random_csi(Rng& rng, std::size_t tx = 3, std::size_t rx = 2) {
+  CsiMatrix m(tx, rx, kDefaultSubcarriers);
+  for (auto& v : m.raw()) v = rng.complex_gaussian();
+  return m;
+}
+
+PerfResult run_channel_snr(double min_time_s) {
+  auto ch = perf_channel();
+  ChannelBatch::Scratch scratch;
+  double t = 0.0;
+  return measure("channel_snr", min_time_s, [&] {
+    double snr = ch->snr_db(t, scratch);
+    t += 0.001;
+    asm volatile("" : : "r"(&snr) : "memory");
+  });
+}
+
+PerfResult run_effective_snr(double min_time_s) {
+  Rng rng(4);
+  const CsiMatrix h = random_csi(rng);
+  return measure("effective_snr", min_time_s, [&] {
+    double snr = effective_snr_db(h, 20.0);
+    asm volatile("" : : "r"(&snr) : "memory");
+  });
+}
+
+PerfResult run_su_bf_gain(double min_time_s) {
+  Rng rng(5);
+  const CsiMatrix now = random_csi(rng);
+  const CsiMatrix stale = random_csi(rng);
+  return measure("su_bf_gain", min_time_s, [&] {
+    double gain = su_beamforming_gain_db(now, stale);
+    asm volatile("" : : "r"(&gain) : "memory");
+  });
+}
+
+PerfResult run_mu_mimo_zf(double min_time_s) {
+  Rng rng(6);
+  std::vector<CsiMatrix> now;
+  std::vector<CsiMatrix> stale;
+  for (int k = 0; k < 3; ++k) {
+    now.push_back(random_csi(rng, 3, 1));
+    stale.push_back(random_csi(rng, 3, 1));
+  }
+  const std::vector<double> snr(3, 20.0);
+  return measure("mu_mimo_zf", min_time_s, [&] {
+    MuMimoResult r = mu_mimo_zero_forcing(now, stale, snr);
+    asm volatile("" : : "r"(&r) : "memory");
+  });
+}
+
+PerfResult run_classifier_tof_step(double min_time_s) {
+  Rng rng(8);
+  MobilityClassifier clf;
+  // Uncorrelated CSI reads as device mobility, so ToF processing is active.
+  for (double t = 0.0; t < 4.0; t += 0.5) clf.on_csi(t, random_csi(rng));
+  double t = 4.0;
+  return measure("classifier_tof_step", min_time_s, [&] {
+    clf.on_tof(t, 100.0 + rng.gaussian());
+    t += 0.02;
+  });
+}
+
+PerfResult run_per_from_snr(double min_time_s) {
+  return measure("per_from_snr", min_time_s, [&] {
+    double per = per_from_snr(mcs(12), 22.0, 1500);
+    asm volatile("" : : "r"(&per) : "memory");
+  });
+}
+
+PerfResult run_best_mcs(double min_time_s) {
+  double snr = 5.0;
+  return measure("best_mcs", min_time_s, [&] {
+    int m = best_mcs(snr, 1500, 2);
+    snr = snr > 35.0 ? 5.0 : snr + 0.1;
+    asm volatile("" : : "r"(&m) : "memory");
+  });
+}
+
 PerfResult run_pool_post_many(double min_time_s) {
   // Dispatch overhead of the batched enqueue: one op = post_many() of 64
   // no-op tasks (one lock + one notify_all) plus the completion wait. The
@@ -267,6 +357,20 @@ const std::vector<PerfCaseDef>& perf_registry() {
        run_pool_post_many},
       {"campus_step", "one campus epoch: 512 resident sessions on 4 shards",
        run_campus_step},
+      {"channel_snr", "true wideband SNR of the perf channel (measure-only)",
+       run_channel_snr},
+      {"effective_snr", "effective SNR of a 3x2x52 CSI matrix (measure-only)",
+       run_effective_snr},
+      {"su_bf_gain", "SU beamforming gain from stale CSI (measure-only)",
+       run_su_bf_gain},
+      {"mu_mimo_zf", "3-user MU-MIMO zero-forcing from stale CSI "
+       "(measure-only)", run_mu_mimo_zf},
+      {"classifier_tof_step", "MobilityClassifier::on_tof step under device "
+       "mobility (measure-only)", run_classifier_tof_step},
+      {"per_from_snr", "PER of MCS 12 at 22 dB, 1500 B (measure-only)",
+       run_per_from_snr},
+      {"best_mcs", "best MCS over an SNR sweep, 2 streams (measure-only)",
+       run_best_mcs},
   };
   return cases;
 }

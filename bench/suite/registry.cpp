@@ -18,6 +18,14 @@ const std::vector<BenchDef>& registry() {
   return benches;
 }
 
+const std::vector<GatedSuite>& gated_suites() {
+  static const std::vector<GatedSuite> suites = {
+      fidelity_suite(), fault_suite(), trace_suite(),
+      campus_suite(),   loc_suite(),
+  };
+  return suites;
+}
+
 int run_standalone(const std::string& name) {
   for (const BenchDef& def : registry()) {
     if (def.name != name) continue;

@@ -1,4 +1,4 @@
-// scale.cpp — AP-scale throughput benchmark (`mobiwlan-bench --scale`).
+// scale.cpp — AP-scale throughput benchmark (`mobiwlan-bench --suite scale`).
 //
 // The workload: a 64-AP floor (8x8 grid, 30 m pitch) serving 512 clients,
 // every link an independent scatterer field over a shared master seed. The
@@ -215,7 +215,7 @@ F32Speedup measure_f32_synthesis(double min_time_s, int tier) {
 
 }  // namespace
 
-int run_scale_bench(const ScaleOptions& opt) {
+int run_scale_bench(const SuiteOptions& opt) {
   std::size_t jobs = opt.jobs;
   if (jobs == 0) jobs = 1;
 
@@ -409,7 +409,7 @@ int run_scale_bench(const ScaleOptions& opt) {
   }
   if (!opt.check) return 0;
 
-  // ---- gate (--scale-check) ---------------------------------------------
+  // ---- gate (--suite scale --check) ---------------------------------------------
   const auto baseline = load_flat_json(opt.baseline);
   const auto tol_it = baseline.find("tolerance");
   const double tol = tol_it != baseline.end() ? tol_it->second : 0.25;

@@ -1,12 +1,20 @@
-// suite.hpp — the benches registered with the unified mobiwlan-bench driver.
+// suite.hpp — everything the unified mobiwlan-bench driver runs.
 //
-// Each ported bench is a BenchDef: a name the CLI filters on and a run
-// function that fans trials out through a runtime::Experiment and records
-// metrics/text into a runtime::BenchReport. The standalone per-figure
-// binaries forward to run_standalone() so both entry points execute the
-// exact same trial code.
+// Three kinds of entry live here:
+//   * BenchDefs (`--filter`): the ported paper benches. Each fans trials out
+//     through a runtime::Experiment and records metrics/text into a
+//     runtime::BenchReport; the standalone per-figure binaries forward to
+//     run_standalone() so both entry points execute the same trial code.
+//   * GatedSuites (`--suite fidelity|fault|trace|campus|loc`): deterministic
+//     FidelityReports checked against ci/NAME_baseline.json. Each suite is
+//     only a descriptor; run_gated_suite() is the one runner that sets up
+//     the pool, prints, checks and writes the report for all of them.
+//   * The timing runs (`--suite perf`, `--suite scale`): the perf-case
+//     registry and the AP-scale bench, gated on ci/perf_baseline.json.
 #pragma once
 
+#include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -36,7 +44,7 @@ struct PerfResult {
   double allocs_per_op = 0.0;  ///< 0 unless the counting hook is linked
 };
 
-/// One hot-path microbenchmark run by `mobiwlan-bench --perf`.
+/// One hot-path microbenchmark run by `mobiwlan-bench --suite perf`.
 ///
 /// Perf cases are timing-based by nature, so they live in a separate
 /// registry: the deterministic benches above must stay byte-identical across
@@ -76,107 +84,67 @@ BenchDef fig13_bench();
 double fig9_run_scheme(const std::string& scheme, std::uint64_t seed,
                        MobilityClass cls, const FaultPlan& fault = {});
 
-/// Re-runs the core experiments (Table 1, Fig 2, Fig 4, Fig 9) through the
-/// sharder and records the statistics the paper-fidelity gate asserts on.
-/// Deterministic for a fixed Experiment seed at any worker count.
-fidelity::FidelityReport run_fidelity(runtime::Experiment& exp);
-
-/// `mobiwlan-bench --scale` configuration (bench/suite/scale.cpp).
-struct ScaleOptions {
-  std::size_t jobs = 1;       ///< pool workers for the agreement/shard passes
+/// The options of one `mobiwlan-bench --suite NAME` run. The driver fills
+/// `out` and `baseline` with the suite's defaults when the flags are absent.
+struct SuiteOptions {
+  std::size_t jobs = 0;       ///< pool workers (0 = the suite's default)
   std::uint64_t seed = 0;     ///< master seed (driver passes --seed)
-  double min_time_s = 1.0;    ///< per timing measurement
-  bool check = false;         ///< gate against the baseline's gate_scale_* keys
-  std::string out = "BENCH_scale.json";
-  std::string baseline = "ci/perf_baseline.json";
-};
-
-/// The AP-scale throughput bench: 64 APs x 512 clients, exact batch-vs-serial
-/// agreement + throughput + thread-scaling ladder + steady-state alloc
-/// count. Everything in the JSON except `timing_*` keys is byte-identical
-/// across `jobs`. Returns a process exit code.
-int run_scale_bench(const ScaleOptions& opt);
-
-/// `mobiwlan-bench --fault` configuration (bench/suite/fault.cpp).
-struct FaultOptions {
-  std::size_t jobs = 0;       ///< pool workers (0 = one per hardware thread)
-  std::uint64_t seed = 0;     ///< master seed (driver passes --seed)
-  bool check = false;         ///< gate against the committed baseline
-  std::string check_only;     ///< re-check this BENCH_fault.json, no re-run
-  std::string out = "BENCH_fault.json";
-  std::string baseline = "ci/fault_baseline.json";
-};
-
-/// The fault-tolerance / graceful-degradation bench: Table-1 classification
-/// accuracy vs CSI+ToF drop rate (0-50%), Fig-9 / Fig-13 mobility-aware vs
-/// stock throughput ratios under export loss, motion-aware roaming under
-/// 30% ToF loss, and an exact zero-fault identity probe. Deterministic for
-/// a fixed seed at any worker count (same flat-JSON contract as the
-/// fidelity report). Returns a process exit code.
-int run_fault_bench(const FaultOptions& opt);
-
-/// `mobiwlan-bench --trace` configuration (bench/suite/trace.cpp).
-struct TraceOptions {
-  std::size_t jobs = 0;       ///< pool workers (0 = one per hardware thread)
-  std::uint64_t seed = 0;     ///< master seed (driver passes --seed)
-  bool check = false;         ///< gate against the committed baseline
-  std::string check_only;     ///< re-check this BENCH_trace.json, no re-run
-  std::string out = "BENCH_trace.json";
-  std::string baseline = "ci/trace_baseline.json";
-};
-
-/// The trace record/replay determinism bench: every protocol loop recorded
-/// live and replayed from the trace alone with bitwise result comparison,
-/// fault-layer composition onto replay, the arXiv 2002.03905 pitfall probes
-/// (timestamp skew, gap decay, missing streams), a CSV import round-trip,
-/// and a timing-quarantined replay-throughput measurement. Deterministic
-/// for a fixed seed at any worker count outside `"timing` lines. Returns a
-/// process exit code.
-int run_trace_bench(const TraceOptions& opt);
-
-/// `mobiwlan-bench --campus` configuration (bench/suite/campus.cpp).
-struct CampusOptions {
-  std::size_t jobs = 0;       ///< workers per campus run (0 = one per hw thread)
-  std::uint64_t seed = 0;     ///< master seed (driver passes --seed)
-  bool check = false;         ///< gate against the committed baseline
-  std::string check_only;     ///< re-check this BENCH_campus.json, no re-run
-  std::string out = "BENCH_campus.json";
-  std::string baseline = "ci/campus_baseline.json";
-  /// Nonzero switches to large-campus mode: ONE {4 shards, jobs} run at
-  /// this session count (no invariance matrix, no baseline gate) reporting
-  /// conservation, peak RSS and throughput — the 250k ctest smoke and the
-  /// 10^6-session memory-budget evidence in EXPERIMENTS.md.
-  std::uint64_t sessions = 0;
+  bool check = false;         ///< gate the run against `baseline`
+  std::string check_only;     ///< re-check this report file, no re-run
+  std::string out;            ///< report path
+  std::string baseline;       ///< baseline path
+  double min_time_s = 1.0;    ///< per timing measurement (perf, scale)
+  /// Nonzero selects large-campus mode: ONE {4 shards, jobs} run at this
+  /// session count (no invariance matrix, no baseline gate) reporting
+  /// conservation, peak RSS and throughput.
+  std::uint64_t campus_sessions = 0;
   /// In large-campus mode, fail if peak RSS exceeds this many MiB (0 = off).
-  double rss_budget_mb = 0.0;
+  double campus_rss_budget_mb = 0.0;
 };
 
-/// The campus shard-invariance bench: one 1024-AP / 100k-session churn
-/// scenario run under 1/4/16-shard partitionings (plus a 16-shard
-/// single-worker cross-check), with every shard-invariant observable —
-/// aggregate counters, bitwise float sums, per-session digest combiners,
-/// histogram quantiles — compared exactly across the matrix and gated.
-/// Deterministic for a fixed seed at any shard/worker count outside
-/// `"timing` lines. Returns a process exit code.
-int run_campus_bench(const CampusOptions& opt);
-
-/// `mobiwlan-bench --loc` configuration (bench/suite/loc.cpp).
-struct LocOptions {
-  std::size_t jobs = 0;       ///< pool workers (0 = one per hardware thread)
-  std::uint64_t seed = 0;     ///< master seed (driver passes --seed)
-  bool check = false;         ///< gate against the committed baseline
-  std::string check_only;     ///< re-check this BENCH_loc.json, no re-run
-  std::string out = "BENCH_loc.json";
-  std::string baseline = "ci/loc_baseline.json";
+/// One gated suite: a deterministic FidelityReport producer checked against
+/// a committed baseline (`ci/NAME_baseline.json`) by run_gated_suite().
+struct GatedSuite {
+  std::string name;    ///< `--suite` name; also names BENCH_NAME.json
+  std::string banner;  ///< what the run covers, printed before it starts
+  std::string gate;    ///< the gate's name in the failure message
+  /// Runs the suite's experiments. For a fixed master seed the report is
+  /// identical at any pool size outside metrics whose key starts "timing".
+  std::function<fidelity::FidelityReport(runtime::Experiment&)> report;
 };
 
-/// The CSI-fingerprint localization bench: parallel survey of a 10^4-cell
-/// fingerprint database (bitwise digest + serial rebuild probe), held-out
-/// walk accuracy for kNN-only and AoA/ToF-fused estimates, the
-/// mobility-gated vs always-update refresh ablation on a recorded
-/// observation stream, and the single-thread lookup-rate section. For a
-/// fixed --seed, everything outside keys starting with "timing" is
-/// byte-identical at any --jobs. Returns a process exit code.
-int run_loc_bench(const LocOptions& opt);
+/// fidelity, fault, trace, campus and loc, in that order.
+const std::vector<GatedSuite>& gated_suites();
+
+/// Runs one gated suite: builds the pool and Experiment, runs the report,
+/// prints its metrics, checks it against `opt.baseline` when `opt.check`
+/// is set, and writes the flat JSON to `opt.out`. With `opt.check_only`
+/// set it instead re-reads that report and only checks it. Returns a
+/// process exit code (1 on a failed check or an I/O error).
+int run_gated_suite(const GatedSuite& suite, const SuiteOptions& opt);
+
+/// Paper fidelity: Table 1, Fig 2, Fig 4 and Fig 9 statistics (fidelity.cpp).
+GatedSuite fidelity_suite();
+/// Graceful degradation under PHY-observable export loss (fault.cpp).
+GatedSuite fault_suite();
+/// Trace record/replay determinism and the arXiv 2002.03905 pitfall probes
+/// (trace.cpp).
+GatedSuite trace_suite();
+/// Campus shard invariance across 1/4/16-shard partitionings (campus.cpp).
+GatedSuite campus_suite();
+/// CSI-fingerprint localization and mobility-gated refresh (loc.cpp).
+GatedSuite loc_suite();
+
+/// Large-campus mode of the campus suite (`--campus-sessions N`): one
+/// 4-shard run at N sessions, failing on broken session conservation or a
+/// peak RSS above `opt.campus_rss_budget_mb`. Returns a process exit code.
+int run_campus_large(const SuiteOptions& opt);
+
+/// The AP-scale throughput bench (`--suite scale`): 64 APs x 512 clients,
+/// exact batch-vs-serial agreement + throughput + thread-scaling ladder +
+/// steady-state alloc count, gated on the baseline's gate_scale_* keys when
+/// `opt.check` is set. Everything in the JSON except `timing_*` keys is
+/// byte-identical across `jobs` (0 means 1). Returns a process exit code.
+int run_scale_bench(const SuiteOptions& opt);
 
 }  // namespace mobiwlan::benchsuite

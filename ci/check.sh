@@ -4,31 +4,19 @@
 #      this build tree is strict) + entire ctest suite;
 #   2. runtime determinism check: mobiwlan-bench at --jobs 1 vs --jobs 8
 #      must produce byte-identical JSON outside the "timing" lines;
-#   3. perf-regression smoke gate: ci/perf_gate.sh with a short per-case
-#      budget and the baseline's 25% tolerance band (microbench cases plus
-#      the AP-scale throughput bench and its speedup/alloc gates);
-#   4. statistical paper-fidelity gate: ci/fidelity_gate.sh checks the core
-#      experiment statistics against ci/fidelity_baseline.json and diffs the
-#      --jobs 1 vs --jobs 8 reports;
-#   5. fault-injection gate: ci/fault_gate.sh checks graceful degradation
-#      under PHY-observable export loss against ci/fault_baseline.json,
-#      diffs the --jobs 1 vs --jobs 8 reports, and proves the negative
-#      baseline still fails;
-#   5b. trace replay gate: ci/trace_gate.sh records every protocol loop,
-#      replays it from the trace alone, and requires bit-identical results
-#      (plus fault-composition and pitfall probes) at --jobs 1 and 8;
-#   5c. benchmark smoke: `python3 perfbench/run.py --smoke` re-drives a small
+#   3. timing gates: ci/perf_gate.sh with a short per-case budget and the
+#      baseline's 25% tolerance band (microbench cases, the AP-scale
+#      throughput bench, the fp32 and AoA tier ratios, campus throughput
+#      and the loc lookup-rate floor), every section run before it fails;
+#   4. the gated suites: `ci/gate.sh NAME` for fidelity (paper-shape
+#      statistics), fault (graceful degradation under export loss), trace
+#      (record/replay determinism), campus (shard invariance across 1/4/16
+#      partitionings) and loc (fingerprint localization + mobility-gated
+#      refresh). Each checks its committed baseline, diffs the --jobs 1 vs
+#      --jobs 8 reports and proves its negative baseline still fails;
+#   5. benchmark smoke: `python3 perfbench/run.py --smoke` re-drives a small
 #      campus and checks its digest against CampusSim, then replays a
 #      6-client trace strictly (outage absences, gate decay);
-#   5d. campus shard-invariance gate: ci/campus_gate.sh runs the 1024-AP /
-#      100k-session churn scenario under 1/4/16-shard partitionings and
-#      requires bitwise-identical per-session aggregates across the matrix
-#      and across --jobs 1 vs 8, plus a failing negative baseline;
-#   5e. localization gate: ci/loc_gate.sh surveys the fingerprint database,
-#      checks the kNN/fused accuracy and mobility-gated-refresh ablation
-#      against ci/loc_baseline.json (exact min == max pairs), diffs the
-#      --jobs 1 vs --jobs 8 reports, proves the negative baseline fails,
-#      and holds the single-thread lookup-rate floor;
 #   6. scale determinism: the AP-scale bench JSON at --jobs 1 vs --jobs 8
 #      must be byte-identical outside the timing_* lines;
 #   7. ThreadSanitizer build (-DMOBIWLAN_SANITIZE=thread) running the
@@ -65,32 +53,22 @@ if ! diff <(grep -v '"timing":' /tmp/mobiwlan_a.json) \
 fi
 echo "ok: results byte-identical modulo timing"
 
-echo "== perf gate: channel hot loops =="
+echo "== perf gate: timing floors =="
 PERF_MIN_TIME="${PERF_MIN_TIME:-0.2}" ./ci/perf_gate.sh
 
-echo "== fidelity gate: paper-shape statistics =="
-./ci/fidelity_gate.sh
-
-echo "== fault gate: graceful degradation under export loss =="
-./ci/fault_gate.sh
-
-echo "== trace gate: record/replay determinism =="
-./ci/trace_gate.sh
+for suite in fidelity fault trace campus loc; do
+  echo "== ${suite} gate =="
+  ./ci/gate.sh "${suite}"
+done
 
 echo "== benchmark smoke: campus re-drive digest + strict trace replay =="
 python3 perfbench/run.py --smoke
 
-echo "== campus gate: shard-invariance across 1/4/16 partitionings =="
-./ci/campus_gate.sh
-
-echo "== loc gate: fingerprint localization + mobility-gated refresh =="
-./ci/loc_gate.sh
-
 echo "== scale determinism: --jobs 1 vs --jobs 8 =="
-./build/bench/mobiwlan-bench --scale --jobs 8 --perf-min-time 0.05 \
-  --scale-out /tmp/mobiwlan_scale_a.json >/dev/null
-./build/bench/mobiwlan-bench --scale --jobs 1 --perf-min-time 0.05 \
-  --scale-out /tmp/mobiwlan_scale_b.json >/dev/null
+./build/bench/mobiwlan-bench --suite scale --jobs 8 --perf-min-time 0.05 \
+  --out /tmp/mobiwlan_scale_a.json >/dev/null
+./build/bench/mobiwlan-bench --suite scale --jobs 1 --perf-min-time 0.05 \
+  --out /tmp/mobiwlan_scale_b.json >/dev/null
 if ! diff <(grep -v '"timing' /tmp/mobiwlan_scale_a.json) \
           <(grep -v '"timing' /tmp/mobiwlan_scale_b.json); then
   echo "FAIL: scale results differ between --jobs 8 and --jobs 1" >&2

@@ -124,6 +124,8 @@ std::string render_check(const CheckResult& check) {
     }
     os << buf;
   }
+  if (check.assertions.empty())
+    os << "  no bounds: the baseline has no <metric>.min/.max key  FAIL\n";
   if (!check.seed_ok) {
     std::snprintf(buf, sizeof buf,
                   "  seed policy: run seed differs from baseline seed %llu "

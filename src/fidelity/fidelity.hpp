@@ -9,7 +9,8 @@
 // committed baseline ci/fidelity_baseline.json:
 //
 //   * every baseline key `<metric>.min` / `<metric>.max` is one assertion
-//     (bound direction in the suffix); a bound on a missing metric fails;
+//     (bound direction in the suffix); a bound on a missing metric fails,
+//     and so does a baseline with no bound at all (it would check nothing);
 //   * the baseline's `seed` key is the seed policy: bounds are calibrated
 //     at the master seed, and a run at any other seed fails the check
 //     rather than comparing apples to oranges;
@@ -18,10 +19,13 @@
 //     its single "timing" line — the same contract mobiwlan-bench's
 //     deterministic JSON keeps.
 //
-// Refreshing the baseline after an intentional behaviour change mirrors the
-// perf-gate procedure in DESIGN.md §5: re-run `mobiwlan-bench --fidelity`,
-// inspect BENCH_fidelity.json, and copy the re-derived bounds in; the
-// negative baseline (ci/fidelity_baseline_negative.json) must keep failing.
+// Every gated suite (`mobiwlan-bench --suite fidelity|fault|trace|campus|loc`)
+// writes and checks this report format through the one runner in
+// bench/suite/runner.cpp. Refreshing a baseline after an intentional
+// behaviour change mirrors the perf-gate procedure in DESIGN.md §5: re-run
+// `mobiwlan-bench --suite NAME`, inspect BENCH_NAME.json, and copy the
+// re-derived bounds in; the negative baseline
+// (ci/NAME_baseline_negative.json) must keep failing (`ci/gate.sh NAME`).
 #pragma once
 
 #include <cstddef>
@@ -55,7 +59,9 @@ struct CheckResult {
   std::uint64_t baseline_seed = 0;
   std::size_t failed = 0;             ///< assertions with pass == false
 
-  bool pass() const { return seed_ok && failed == 0; }
+  /// A baseline without a single bound checks nothing, so it fails: a
+  /// truncated or wrong baseline must not pass any report.
+  bool pass() const { return seed_ok && failed == 0 && !assertions.empty(); }
 };
 
 /// Named metrics produced by one fidelity run, in insertion order.
@@ -85,8 +91,8 @@ class FidelityReport {
   std::vector<std::pair<std::string, double>> metrics_;
 };
 
-/// Rebuilds a FidelityReport (and its seed) from a parsed BENCH_fidelity.json
-/// flat-number map — the `--fidelity-check-only` path, which re-checks an
+/// Rebuilds a FidelityReport (and its seed) from a parsed BENCH_NAME.json
+/// flat-number map — the `--suite NAME --check-only` path, which re-checks an
 /// existing run against a (possibly updated) baseline without re-running the
 /// experiments. Assertion and bookkeeping keys are skipped.
 FidelityReport report_from_flat_json(const std::map<std::string, double>& doc,

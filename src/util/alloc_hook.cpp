@@ -1,9 +1,9 @@
 // alloc_hook.cpp — counting replacements for the global allocation functions.
 //
 // Built as the mobiwlan_alloc_hook OBJECT library and linked ONLY into
-// binaries that want to measure heap traffic (the --perf bench mode and the
-// zero-allocation regression test). Linking this file replaces operator
-// new/delete program-wide, so keep it out of everything else.
+// binaries that want to measure heap traffic (`mobiwlan-bench --suite perf`
+// and the zero-allocation regression tests). Linking this file replaces
+// operator new/delete program-wide, so keep it out of everything else.
 #include <cstdlib>
 #include <new>
 
