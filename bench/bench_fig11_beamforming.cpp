@@ -31,8 +31,7 @@ double run_bf(MobilityClass cls, bool adaptive, double fixed_period,
   cfg.duration_s = 10.0;
   cfg.adaptive_period = adaptive;
   cfg.fixed_period_s = fixed_period;
-  Rng sim_rng(seed + 1234);
-  return simulate_su_beamforming(s, cfg, sim_rng).throughput_mbps;
+  return simulate_su_beamforming(s, cfg).throughput_mbps;
 }
 
 }  // namespace

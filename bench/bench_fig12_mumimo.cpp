@@ -56,9 +56,8 @@ int main() {
         BeamformingSimConfig cfg;
         cfg.duration_s = 8.0;
         cfg.fixed_period_s = period;
-        Rng sim_rng(kMasterSeed + 3100 + draw);
-        const auto r = simulate_mu_mimo({&trio.env, &trio.micro, &trio.macro},
-                                        cfg, sim_rng);
+        const auto r =
+            simulate_mu_mimo({&trio.env, &trio.micro, &trio.macro}, cfg);
         for (int k = 0; k < 3; ++k) sums[k] += r.per_client_mbps[k];
         sums[3] += r.total_mbps;
       }
@@ -89,9 +88,8 @@ int main() {
         cfg.duration_s = 8.0;
         cfg.adaptive_period = mode == 0;
         cfg.fixed_period_s = 2e-3;  // the stock always-sound default
-        Rng sim_rng(seed + 50);
-        const auto r = simulate_mu_mimo({&trio.env, &trio.micro, &trio.macro},
-                                        cfg, sim_rng);
+        const auto r =
+            simulate_mu_mimo({&trio.env, &trio.micro, &trio.macro}, cfg);
         (mode == 0 ? adaptive : fixed) = r;
       }
       gains.add(adaptive.total_mbps / fixed.total_mbps - 1.0);

@@ -11,6 +11,9 @@
 //     (including runs with a 30% export-drop FaultPlan and an rssi_only run,
 //     whose absence records must replay their exact degradation pattern) and
 //     replayed in strict mode.
+//   * Beamforming replay (§6.2's trace-driven emulation): the Fig 11 SU
+//     beamforming and Fig 12 MU-MIMO loops, recorded per client and replayed
+//     strict, fixed and adaptive feedback periods.
 //   * Fault composition: a clean recording replayed through a FaultedSource
 //     in relaxed mode — drops skip recorded reads (skipped > 0) and the
 //     composed replay is itself deterministic.
@@ -27,7 +30,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -44,6 +49,7 @@
 #include "net/roaming.hpp"
 #include "runtime/classifier_driver.hpp"
 #include "runtime/thread_pool.hpp"
+#include "sim/beamforming_sim.hpp"
 #include "sim/overall_sim.hpp"
 #include "suite/suite.hpp"
 #include "trace/import.hpp"
@@ -359,6 +365,114 @@ void trace_deployment_replay(runtime::Experiment& exp, FidelityReport& rep) {
   rep.add("trace.replay.overall_mismatches", ov_total);
 }
 
+// ---- beamforming replay (Figs 11/12) ---------------------------------------
+
+/// Single-antenna client channels: the MU-MIMO emulator needs n_rx = 1, and
+/// each recording's header carries the channel's real geometry.
+Scenario bf_client(MobilityClass cls, Rng& rng) {
+  ScenarioOptions opt;
+  opt.channel.n_rx = 1;
+  return make_scenario(cls, rng, opt);
+}
+
+BeamformingSimConfig bf_config(bool adaptive) {
+  BeamformingSimConfig cfg;
+  cfg.duration_s = 5.0;
+  cfg.adaptive_period = adaptive;
+  return cfg;
+}
+
+int su_bf_replay_mismatches(std::uint64_t seed, bool adaptive,
+                            const std::string& path) {
+  TmpTrace tmp(path);
+  const BeamformingSimConfig cfg = bf_config(adaptive);
+  SuBeamformingResult live_r, replay_r;
+  {
+    Rng rng(seed);
+    Scenario s = bf_client(MobilityClass::kMacro, rng);
+    trace::LiveChannelSource live(*s.channel);
+    trace::TraceWriter writer(
+        path, trace::RecordingSource::header_for(live, s.channel->config()));
+    trace::RecordingSource rec(live, writer);
+    live_r = simulate_su_beamforming(rec, cfg);
+    writer.close();
+  }
+  {
+    trace::TraceSource replay(path);  // strict
+    replay_r = simulate_su_beamforming(replay, cfg);
+  }
+  int m = 0;
+  m += count_if_differs(live_r.throughput_mbps != replay_r.throughput_mbps);
+  m += count_if_differs(live_r.mean_gain_db != replay_r.mean_gain_db);
+  m += count_if_differs(live_r.overhead_fraction != replay_r.overhead_fraction);
+  return m;
+}
+
+/// Records the Fig 12 client mix (environmental / micro / macro), one trace
+/// per client, and replays all three strict.
+int mu_mimo_replay_mismatches(std::uint64_t seed, bool adaptive,
+                              std::size_t index) {
+  constexpr MobilityClass kMix[] = {MobilityClass::kEnvironmental,
+                                    MobilityClass::kMicro,
+                                    MobilityClass::kMacro};
+  constexpr std::size_t kClients = std::size(kMix);
+  std::deque<TmpTrace> tmps;
+  for (std::size_t i = 0; i < kClients; ++i)
+    tmps.emplace_back(tmp_path("mumimo", index * kClients + i));
+  const BeamformingSimConfig cfg = bf_config(adaptive);
+  MuMimoSimResult live_r, replay_r;
+  {
+    Rng rng(seed);
+    std::deque<Scenario> clients;
+    std::deque<trace::LiveChannelSource> live;
+    std::deque<trace::TraceWriter> writers;
+    std::deque<trace::RecordingSource> recs;
+    std::vector<trace::ObservableSource*> sources;
+    for (std::size_t i = 0; i < kClients; ++i) {
+      const Scenario& s = clients.emplace_back(bf_client(kMix[i], rng));
+      live.emplace_back(*s.channel);
+      writers.emplace_back(tmps[i].path,
+                           trace::RecordingSource::header_for(
+                               live.back(), s.channel->config()));
+      sources.push_back(&recs.emplace_back(live.back(), writers.back()));
+    }
+    live_r = simulate_mu_mimo(sources, cfg);
+    for (auto& w : writers) w.close();
+  }
+  {
+    std::deque<trace::TraceSource> replays;
+    std::vector<trace::ObservableSource*> sources;
+    for (const TmpTrace& t : tmps)
+      sources.push_back(&replays.emplace_back(t.path));  // strict
+    replay_r = simulate_mu_mimo(sources, cfg);
+  }
+  int m = 0;
+  m += count_if_differs(live_r.per_client_mbps != replay_r.per_client_mbps);
+  m += count_if_differs(live_r.total_mbps != replay_r.total_mbps);
+  return m;
+}
+
+void trace_beamforming_replay(runtime::Experiment& exp, FidelityReport& rep) {
+  // Trials: the stock fixed period, then the adaptive Table-2 period.
+  const std::vector<std::uint64_t> su_seeds = exp.reserve_seeds(2);
+  const auto su_rows = exp.map<int>(2, [&su_seeds](runtime::Trial& trial) {
+    return su_bf_replay_mismatches(su_seeds[trial.index], trial.index == 1,
+                                   tmp_path("subf", trial.index));
+  });
+  int su_total = 0;
+  for (const int m : su_rows) su_total += m;
+  rep.add("trace.replay.su_bf_mismatches", su_total);
+
+  const std::vector<std::uint64_t> mu_seeds = exp.reserve_seeds(2);
+  const auto mu_rows = exp.map<int>(2, [&mu_seeds](runtime::Trial& trial) {
+    return mu_mimo_replay_mismatches(mu_seeds[trial.index], trial.index == 1,
+                                     trial.index);
+  });
+  int mu_total = 0;
+  for (const int m : mu_rows) mu_total += m;
+  rep.add("trace.replay.mu_mimo_mismatches", mu_total);
+}
+
 // ---- fault layer composed onto replay -------------------------------------
 
 /// Records a clean link run, then replays it twice through a 30%-drop
@@ -603,6 +717,8 @@ FidelityReport run_trace_report(runtime::Experiment& exp) {
   trace_pitfalls(exp, rep);
   trace_import_probe(exp, rep);
   trace_throughput_probe(exp, rep);
+  // Last, so every probe above keeps the seeds it drew before this one.
+  trace_beamforming_replay(exp, rep);
   return rep;
 }
 
@@ -611,7 +727,7 @@ FidelityReport run_trace_report(runtime::Experiment& exp) {
 GatedSuite trace_suite() {
   return {"trace",
           "record/replay determinism — classifier / link / latency / roaming "
-          "/ overall + pitfalls",
+          "/ overall / beamforming + pitfalls",
           "replay-determinism", run_trace_report};
 }
 

@@ -18,10 +18,12 @@ std::vector<cplx> tx_vector(const CsiMatrix& csi, std::size_t sc, std::size_t rx
   return h;
 }
 
-cplx dot_unconj(const std::vector<cplx>& a, const std::vector<cplx>& b) {
-  cplx sum{};
-  for (std::size_t i = 0; i < a.size(); ++i) sum += a[i] * b[i];
-  return sum;
+/// ||h|| of one (subcarrier, rx chain) row, read in place: the same sum in
+/// the same order as vector_norm(tx_vector(csi, sc, rx)).
+double tx_norm(const CsiMatrix& csi, std::size_t sc, std::size_t rx) {
+  double sum = 0.0;
+  for (std::size_t tx = 0; tx < csi.n_tx(); ++tx) sum += std::norm(csi.at(tx, rx, sc));
+  return std::sqrt(sum);
 }
 
 }  // namespace
@@ -36,13 +38,14 @@ double su_beamforming_gain_db(const CsiMatrix& current, const CsiMatrix& feedbac
   const double n_tx = static_cast<double>(current.n_tx());
   for (std::size_t sc = 0; sc < current.n_subcarriers(); ++sc) {
     for (std::size_t rx = 0; rx < current.n_rx(); ++rx) {
-      const auto h_now = tx_vector(current, sc, rx);
-      auto w = tx_vector(feedback, sc, rx);
-      const double wn = vector_norm(w);
+      const double wn = tx_norm(feedback, sc, rx);
       if (wn == 0.0) continue;
-      for (auto& v : w) v = std::conj(v) / wn;  // MRT from fed-back CSI
-      const double realized = std::norm(dot_unconj(h_now, w));
-      const double h_pow = vector_norm(h_now) * vector_norm(h_now);
+      cplx dot{};  // h^T w with MRT weights w = conj(feedback) / ||feedback||
+      for (std::size_t tx = 0; tx < current.n_tx(); ++tx)
+        dot += current.at(tx, rx, sc) * (std::conj(feedback.at(tx, rx, sc)) / wn);
+      const double realized = std::norm(dot);
+      const double h_norm = tx_norm(current, sc, rx);
+      const double h_pow = h_norm * h_norm;
       if (h_pow == 0.0) continue;
       // Reference: the average single-antenna power h_pow / n_tx.
       gain_sum += realized / (h_pow / n_tx);

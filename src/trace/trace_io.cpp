@@ -232,12 +232,12 @@ TraceReader::TraceReader(const std::string& path) : path_(path) {
     const std::size_t got = std::fread(head, 1, sizeof head, f_);
     // A short file that cannot even hold the magic is classified by what is
     // there: wrong magic bytes beat "truncated" so garbage files report
-    // kBadMagic (matching the legacy loader's behaviour), while a file that
-    // starts like a real trace but ends early reports kTruncated.
+    // kBadMagic, while a file that starts like a real trace but ends early
+    // reports kTruncated.
     std::uint32_t magic = 0;
     if (got >= 4) std::memcpy(&magic, head, 4);
     if (got < 4 || magic != kMagic) {
-      if (got >= 4 && magic == 0x43534954u)  // legacy CsiTrace v1 "CSIT"
+      if (got >= 4 && magic == 0x43534954u)  // legacy v1 layout, "CSIT"
         throw TraceError(TraceError::Code::kBadVersion,
                          "legacy v1 trace (re-record in the v2 format): " +
                              path);

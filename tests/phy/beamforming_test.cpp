@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/alloc_count.hpp"
+#include "util/matrix.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -61,6 +63,58 @@ TEST(SuBeamformingTest, DimensionMismatchThrows) {
   const CsiMatrix a = random_csi(3, 1, 52, rng);
   const CsiMatrix b = random_csi(2, 1, 52, rng);
   EXPECT_THROW(su_beamforming_gain_db(a, b), std::invalid_argument);
+}
+
+/// The gain formula spelled out over per-row temporaries, as the kernel
+/// computed it before it read CSI in place.
+double reference_su_gain_db(const CsiMatrix& current, const CsiMatrix& feedback) {
+  double gain_sum = 0.0;
+  std::size_t count = 0;
+  const double n_tx = static_cast<double>(current.n_tx());
+  for (std::size_t sc = 0; sc < current.n_subcarriers(); ++sc) {
+    for (std::size_t rx = 0; rx < current.n_rx(); ++rx) {
+      std::vector<cplx> h(current.n_tx()), w(current.n_tx());
+      for (std::size_t tx = 0; tx < current.n_tx(); ++tx) {
+        h[tx] = current.at(tx, rx, sc);
+        w[tx] = feedback.at(tx, rx, sc);
+      }
+      const double wn = vector_norm(w);
+      if (wn == 0.0) continue;
+      for (auto& v : w) v = std::conj(v) / wn;
+      cplx dot{};
+      for (std::size_t i = 0; i < h.size(); ++i) dot += h[i] * w[i];
+      const double h_pow = vector_norm(h) * vector_norm(h);
+      if (h_pow == 0.0) continue;
+      gain_sum += std::norm(dot) / (h_pow / n_tx);
+      ++count;
+    }
+  }
+  if (count == 0) return 0.0;
+  return linear_to_db(gain_sum / static_cast<double>(count));
+}
+
+TEST(SuBeamformingTest, InPlaceKernelBitwiseMatchesReference) {
+  Rng rng(12);
+  for (std::size_t n_rx : {1u, 2u}) {
+    const CsiMatrix now = random_csi(3, n_rx, 52, rng);
+    const CsiMatrix stale = random_csi(3, n_rx, 52, rng);
+    EXPECT_EQ(su_beamforming_gain_db(now, stale),
+              reference_su_gain_db(now, stale));
+    EXPECT_EQ(su_beamforming_gain_db(now, now), reference_su_gain_db(now, now));
+  }
+}
+
+TEST(SuBeamformingTest, GainIsAllocationFree) {
+  ASSERT_TRUE(alloc_hook_active())
+      << "link mobiwlan_alloc_hook or the assertion is vacuous";
+  Rng rng(13);
+  const CsiMatrix now = random_csi(3, 2, 52, rng);
+  const CsiMatrix stale = random_csi(3, 2, 52, rng);
+  double sink = 0.0;
+  const std::uint64_t before = alloc_count();
+  for (int i = 0; i < 16; ++i) sink += su_beamforming_gain_db(now, stale);
+  EXPECT_EQ(alloc_count() - before, 0u);
+  EXPECT_TRUE(std::isfinite(sink));
 }
 
 TEST(MuMimoTest, FreshCsiNearInterferenceFree) {

@@ -108,9 +108,13 @@ void write_trace(const std::string& path, const GeneratedTrace& g) {
   writer.close();
 }
 
+/// Named after the running test as well as the case: ctest runs each
+/// TraceProp test in its own process concurrently, and a shared name lets
+/// one test remove a file another is still reading.
 std::string case_path(int index) {
-  return ::testing::TempDir() + "/trace_prop_" + std::to_string(index) +
-         ".mwtr";
+  return ::testing::TempDir() + "/trace_prop_" +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+         "_" + std::to_string(index) + ".mwtr";
 }
 
 TEST(TraceProp, SaveLoadRoundTripsBitwise) {

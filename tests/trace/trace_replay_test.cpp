@@ -15,7 +15,6 @@
 #include "mac/atheros_ra.hpp"
 #include "mac/link_sim.hpp"
 #include "runtime/classifier_driver.hpp"
-#include "sim/beamforming_sim.hpp"
 #include "trace/source.hpp"
 #include "trace/trace_io.hpp"
 #include "trace/trace_source.hpp"
@@ -145,24 +144,6 @@ TEST(TraceReplayTest, ReplayRefusesTraceMissingRequiredStream) {
     FAIL() << "classifier ran without its required ToF stream";
   } catch (const trace::TraceError& e) {
     EXPECT_EQ(e.code(), trace::TraceError::Code::kMissingStream);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(TraceReplayTest, MuMimoTraceFilesRejectMalformedInput) {
-  const std::string path = tmp("replay_mumimo_bad.mwtr");
-  {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fputs("garbage, not a recorded client trace", f);
-    std::fclose(f);
-  }
-  BeamformingSimConfig cfg;
-  try {
-    (void)simulate_mu_mimo_trace_files({path}, cfg);
-    FAIL() << "malformed client trace accepted";
-  } catch (const trace::TraceError& e) {
-    EXPECT_EQ(e.code(), trace::TraceError::Code::kBadMagic);
   }
   std::remove(path.c_str());
 }
