@@ -28,9 +28,12 @@
 #      cover TraceSource's pooled CSI payloads and per-stream ring buffers,
 #      the beamscan AoA test, whose tier sweep drives every SIMD kernel
 #      through partial blocks and the padded steering table, the locator
-#      tests, and the channel-engine tests (golden fixtures, batch
+#      tests, the channel-engine tests (golden fixtures, batch
 #      equivalence, zero-alloc, fp32 tier, SIMD dispatch), which drive every
-#      per-link and batched caller through the lane-padded staging planes.
+#      per-link and batched caller through the lane-padded staging planes,
+#      and the beamforming tests: the in-place SU gain and zero-forcing
+#      kernels, and the SU/MU-MIMO loops driven live and from recorded
+#      traces through ObservableSource.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -87,7 +90,7 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/experiment_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/parallel_for_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/mailbox_stress_test
 
-echo "== AddressSanitizer + UBSan: trace, beamscan, locator and channel tests =="
+echo "== AddressSanitizer + UBSan: trace, beamscan, locator, channel and beamforming tests =="
 cmake -B build-asan -S . -DMOBIWLAN_SANITIZE=address,undefined \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS" \
@@ -95,7 +98,8 @@ cmake -B build-asan -S . -DMOBIWLAN_SANITIZE=address,undefined \
 ASAN_TESTS=(trace_io_test trace_source_test trace_replay_test trace_prop_test
            aoa_test loc_test loc_prop_test locator_tier_test
            channel_equivalence_test channel_batch_equivalence_test
-           channel_zero_alloc_test channel_batch_f32_test simd_dispatch_test)
+           channel_zero_alloc_test channel_batch_f32_test simd_dispatch_test
+           beamforming_test beamforming_sim_test)
 cmake --build build-asan -j"${JOBS}" --target "${ASAN_TESTS[@]}"
 for t in "${ASAN_TESTS[@]}"; do
   ASAN_OPTIONS="detect_leaks=1" UBSAN_OPTIONS="print_stacktrace=1" \
