@@ -9,9 +9,9 @@
 //
 //   mobiwlan-bench --suite NAME           run one suite and write its report
 //     NAME is a gated suite — fidelity, fault, trace, campus, loc — checked
-//     against ci/NAME_baseline.json, or a timing run — perf (the hot-path
-//     cases, BENCH_channel.json) or scale (the AP-scale bench) — checked
-//     against ci/perf_baseline.json. Suite flags:
+//     against ci/NAME_baseline.json, or the timing run perf (the hot-path
+//     cases, BENCH_channel.json) checked against ci/perf_baseline.json.
+//     Suite flags:
 //     --check                             gate the run against the baseline
 //     --check-only PATH                   re-check an existing report, no
 //                                         re-run (gated suites)
@@ -19,7 +19,7 @@
 //                                         BENCH_NAME.json)
 //     --baseline PATH                     baseline path
 //     --perf-min-time S                   seconds per timing measurement
-//                                         (perf, scale)
+//                                         (perf)
 //     --campus-sessions N                 campus large mode: one 4-shard run
 //                                         at N sessions (conservation + RSS
 //                                         evidence, no baseline gate)
@@ -47,16 +47,12 @@
 #include "runtime/report.hpp"
 #include "runtime/thread_pool.hpp"
 #include "suite/suite.hpp"
-#include "util/alloc_count.hpp"
-#include "util/flatjson.hpp"
-#include "util/simd.hpp"
 
 namespace {
 
 using mobiwlan::benchsuite::BenchDef;
 using mobiwlan::benchsuite::GatedSuite;
 using mobiwlan::benchsuite::PerfCaseDef;
-using mobiwlan::benchsuite::PerfResult;
 using mobiwlan::benchsuite::SuiteOptions;
 using mobiwlan::benchsuite::gated_suites;
 using mobiwlan::benchsuite::perf_registry;
@@ -72,7 +68,7 @@ void print_usage() {
       "                      [--seed S] [--perf-min-time SECONDS]\n"
       "                      [--campus-sessions N] [--campus-rss-budget-mb MB]"
       "\n"
-      "       NAME: fidelity fault trace campus loc perf scale\n");
+      "       NAME: fidelity fault trace campus loc perf\n");
 }
 
 const GatedSuite* find_gated_suite(const std::string& name) {
@@ -81,9 +77,9 @@ const GatedSuite* find_gated_suite(const std::string& name) {
   return nullptr;
 }
 
-/// The gated suites plus the two timing runs, perf and scale.
+/// The gated suites plus the timing run, perf.
 bool is_suite(const std::string& name) {
-  return find_gated_suite(name) || name == "perf" || name == "scale";
+  return find_gated_suite(name) || name == "perf";
 }
 
 /// Whether the bench-registry mode (no `--suite`) takes `flag`.
@@ -100,7 +96,7 @@ bool suite_takes(const std::string& name, const std::string& flag) {
     return true;
   if (flag == "--check-only") return find_gated_suite(name) != nullptr;
   if (flag == "--jobs" || flag == "--seed") return name != "perf";
-  if (flag == "--perf-min-time") return name == "perf" || name == "scale";
+  if (flag == "--perf-min-time") return name == "perf";
   if (flag == "--campus-sessions" || flag == "--campus-rss-budget-mb")
     return name == "campus";
   return false;
@@ -202,148 +198,6 @@ bool parse_args(int argc, char** argv, Options& opt) {
   return true;
 }
 
-using mobiwlan::load_flat_json;  // util/flatjson.hpp
-
-/// Runs the perf cases, writes the flat BENCH report (with pre-PR baseline
-/// numbers and speedups folded in when the baseline file provides them), and
-/// optionally gates against the baseline's gate_* values.
-int run_perf(const SuiteOptions& opt) {
-  const auto baseline = load_flat_json(opt.baseline);
-  if (!baseline.empty())
-    std::printf("perf: baseline %s (%zu keys)\n", opt.baseline.c_str(),
-                baseline.size());
-  else
-    std::printf("perf: no baseline at %s (measuring only)\n",
-                opt.baseline.c_str());
-  if (!mobiwlan::alloc_hook_active())
-    std::printf("perf: warning: alloc hook not linked, allocs/op will read 0\n");
-
-  std::vector<PerfResult> results;
-  for (const PerfCaseDef& def : perf_registry()) {
-    PerfResult r = def.run(opt.min_time_s);
-    std::printf("  %-20s %12.1f ns/op  %12.0f ops/s  %6.2f allocs/op\n",
-                r.name.c_str(), r.ns_per_op, r.ops_per_sec, r.allocs_per_op);
-    results.push_back(std::move(r));
-  }
-
-  std::ofstream out(opt.out, std::ios::binary);
-  if (!out) {
-    std::fprintf(stderr, "mobiwlan-bench: cannot write %s\n",
-                 opt.out.c_str());
-    return 1;
-  }
-  out << "{\n";
-  out << "  \"bench\": \"channel_perf\",\n";
-  char buf[256];
-  std::snprintf(buf, sizeof buf, "  \"min_time_s\": %g,\n", opt.min_time_s);
-  out << buf;
-  std::snprintf(buf, sizeof buf, "  \"alloc_hook_active\": %d,\n",
-                mobiwlan::alloc_hook_active() ? 1 : 0);
-  out << buf;
-  for (const PerfResult& r : results) {
-    std::snprintf(buf, sizeof buf, "  \"%s_ns\": %.1f,\n", r.name.c_str(),
-                  r.ns_per_op);
-    out << buf;
-    std::snprintf(buf, sizeof buf, "  \"%s_ops_per_sec\": %.0f,\n",
-                  r.name.c_str(), r.ops_per_sec);
-    out << buf;
-    std::snprintf(buf, sizeof buf, "  \"%s_allocs\": %.2f,\n", r.name.c_str(),
-                  r.allocs_per_op);
-    out << buf;
-    const auto pre_ns = baseline.find("pre_pr_" + r.name + "_ns");
-    if (pre_ns != baseline.end()) {
-      std::snprintf(buf, sizeof buf, "  \"pre_pr_%s_ns\": %.1f,\n",
-                    r.name.c_str(), pre_ns->second);
-      out << buf;
-      const auto pre_allocs = baseline.find("pre_pr_" + r.name + "_allocs");
-      if (pre_allocs != baseline.end()) {
-        std::snprintf(buf, sizeof buf, "  \"pre_pr_%s_allocs\": %.2f,\n",
-                      r.name.c_str(), pre_allocs->second);
-        out << buf;
-      }
-      std::snprintf(buf, sizeof buf, "  \"%s_speedup_vs_pre_pr\": %.2f,\n",
-                    r.name.c_str(), pre_ns->second / r.ns_per_op);
-      out << buf;
-    }
-  }
-  // The beamscan's active-tier speedup over its own scalar tier, measured
-  // back to back on this host (ci/perf_gate.sh gates it on AVX2+ hosts).
-  const auto ns_of = [&](const char* name) {
-    for (const PerfResult& r : results)
-      if (r.name == name) return r.ns_per_op;
-    return 0.0;
-  };
-  const double aoa_ns = ns_of("aoa_sweep");
-  const double aoa_scalar_ns = ns_of("aoa_sweep_scalar");
-  if (aoa_ns > 0.0 && aoa_scalar_ns > 0.0) {
-    std::snprintf(buf, sizeof buf, "  \"timing_aoa_tier_speedup\": %.2f,\n",
-                  aoa_scalar_ns / aoa_ns);
-    out << buf;
-  }
-  // Host-capability and tier provenance, quarantined on timing_* keys (the
-  // same convention the determinism diffs filter on), so perf baselines are
-  // comparable across hosts.
-  std::snprintf(buf, sizeof buf, "  \"timing_host_avx2\": %d,\n",
-                mobiwlan::simd::avx2fma_supported() ? 1 : 0);
-  out << buf;
-  std::snprintf(buf, sizeof buf, "  \"timing_host_avx512\": %d,\n",
-                mobiwlan::simd::avx512_supported() ? 1 : 0);
-  out << buf;
-  std::snprintf(buf, sizeof buf, "  \"timing_active_simd_tier\": %d,\n",
-                static_cast<int>(mobiwlan::simd::active_tier()));
-  out << buf;
-  std::snprintf(buf, sizeof buf, "  \"timing_active_precision_fp32\": %d,\n",
-                mobiwlan::simd::active_precision() ==
-                        mobiwlan::simd::Precision::kFloat32
-                    ? 1
-                    : 0);
-  out << buf;
-  out << "  \"end\": 0\n}\n";
-  out.close();
-  std::printf("wrote %s (%zu cases)\n", opt.out.c_str(), results.size());
-
-  if (!opt.check) return 0;
-
-  // Gate: each case must stay within (1 + tolerance) of its committed
-  // gate_*_ns and must not allocate more than gate_*_allocs (+0.5 slack for
-  // amortized one-off growth). Missing gate keys are reported, not fatal,
-  // so new cases can land before the baseline is refreshed.
-  const auto tol_it = baseline.find("tolerance");
-  const double tol = tol_it != baseline.end() ? tol_it->second : 0.25;
-  bool ok = true;
-  for (const PerfResult& r : results) {
-    const auto gate_ns = baseline.find("gate_" + r.name + "_ns");
-    if (gate_ns == baseline.end()) {
-      std::printf("perf-check: %-20s no gate_%s_ns in baseline, skipped\n",
-                  r.name.c_str(), r.name.c_str());
-      continue;
-    }
-    const double limit = gate_ns->second * (1.0 + tol);
-    const bool time_ok = r.ns_per_op <= limit;
-    bool allocs_ok = true;
-    const auto gate_allocs = baseline.find("gate_" + r.name + "_allocs");
-    if (gate_allocs != baseline.end() && mobiwlan::alloc_hook_active())
-      allocs_ok = r.allocs_per_op <= gate_allocs->second + 0.5;
-    std::printf("perf-check: %-20s %s  (%.1f ns/op vs limit %.1f",
-                r.name.c_str(), time_ok && allocs_ok ? "ok" : "REGRESSION",
-                r.ns_per_op, limit);
-    if (gate_allocs != baseline.end())
-      std::printf(", %.2f allocs/op vs gate %.2f", r.allocs_per_op,
-                  gate_allocs->second);
-    std::printf(")\n");
-    ok = ok && time_ok && allocs_ok;
-  }
-  if (!ok) {
-    std::fprintf(stderr,
-                 "mobiwlan-bench: perf regression past %.0f%% tolerance "
-                 "(baseline %s)\n",
-                 100.0 * tol, opt.baseline.c_str());
-    return 1;
-  }
-  std::printf("perf-check: all cases within %.0f%% of baseline\n", 100.0 * tol);
-  return 0;
-}
-
 /// `--suite NAME`: fills the suite's default paths and runs it.
 int run_suite(const Options& opt) {
   SuiteOptions run = opt.run;
@@ -351,11 +205,9 @@ int run_suite(const Options& opt) {
   if (run.out.empty())
     run.out = name == "perf" ? "BENCH_channel.json" : "BENCH_" + name + ".json";
   if (run.baseline.empty())
-    run.baseline = name == "perf" || name == "scale"
-                       ? "ci/perf_baseline.json"
-                       : "ci/" + name + "_baseline.json";
-  if (name == "perf") return run_perf(run);
-  if (name == "scale") return mobiwlan::benchsuite::run_scale_bench(run);
+    run.baseline = name == "perf" ? "ci/perf_baseline.json"
+                                  : "ci/" + name + "_baseline.json";
+  if (name == "perf") return mobiwlan::benchsuite::run_perf(run);
   if (run.campus_sessions) return mobiwlan::benchsuite::run_campus_large(run);
   return mobiwlan::benchsuite::run_gated_suite(*find_gated_suite(name), run);
 }

@@ -1,11 +1,7 @@
 #include "suite/suite.hpp"
 
-#include <chrono>
 #include <cstdarg>
 #include <cstdio>
-#include <thread>
-
-#include "runtime/thread_pool.hpp"
 
 namespace mobiwlan::benchsuite {
 
@@ -24,31 +20,6 @@ const std::vector<GatedSuite>& gated_suites() {
       campus_suite(),   loc_suite(),
   };
   return suites;
-}
-
-int run_standalone(const std::string& name) {
-  for (const BenchDef& def : registry()) {
-    if (def.name != name) continue;
-    const unsigned hw = std::thread::hardware_concurrency();
-    runtime::ThreadPool pool(hw ? hw : 1);
-    runtime::BenchReport report;
-    report.name = def.name;
-    report.description = def.description;
-    runtime::Experiment exp(pool, runtime::kMasterSeed, &report);
-    const auto start = std::chrono::steady_clock::now();
-    def.run(exp, report);
-    report.wall_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    std::fputs(report.text.c_str(), stdout);
-    std::printf("\n[%s: %zu jobs on %zu workers, %.2fs wall, %.0f%% "
-                "utilization]\n",
-                def.name.c_str(), report.jobs.size(), report.workers,
-                report.wall_s, 100.0 * report.worker_utilization());
-    return 0;
-  }
-  std::fprintf(stderr, "unknown bench: %s\n", name.c_str());
-  return 1;
 }
 
 std::string strf(const char* format, ...) {

@@ -3,14 +3,13 @@
 // Three kinds of entry live here:
 //   * BenchDefs (`--filter`): the ported paper benches. Each fans trials out
 //     through a runtime::Experiment and records metrics/text into a
-//     runtime::BenchReport; the standalone per-figure binaries forward to
-//     run_standalone() so both entry points execute the same trial code.
+//     runtime::BenchReport.
 //   * GatedSuites (`--suite fidelity|fault|trace|campus|loc`): deterministic
 //     FidelityReports checked against ci/NAME_baseline.json. Each suite is
 //     only a descriptor; run_gated_suite() is the one runner that sets up
 //     the pool, prints, checks and writes the report for all of them.
-//   * The timing runs (`--suite perf`, `--suite scale`): the perf-case
-//     registry and the AP-scale bench, gated on ci/perf_baseline.json.
+//   * The timing run (`--suite perf`): the perf-case registry and the
+//     host-relative ratios, gated on ci/perf_baseline.json by run_perf().
 #pragma once
 
 #include <cstdint>
@@ -58,12 +57,6 @@ struct PerfCaseDef {
 /// The registered perf cases (bench/suite/perf.cpp), in registration order.
 const std::vector<PerfCaseDef>& perf_registry();
 
-/// Runs one registered bench with the default seed and one worker per
-/// hardware thread, printing its text output — the compatibility entry
-/// point for the historical per-figure binaries. Returns a process exit
-/// code (1 if `name` is not registered).
-int run_standalone(const std::string& name);
-
 /// printf-style formatting into a std::string (bench text assembly).
 std::string strf(const char* format, ...)
     __attribute__((format(printf, 1, 2)));
@@ -93,7 +86,7 @@ struct SuiteOptions {
   std::string check_only;     ///< re-check this report file, no re-run
   std::string out;            ///< report path
   std::string baseline;       ///< baseline path
-  double min_time_s = 1.0;    ///< per timing measurement (perf, scale)
+  double min_time_s = 1.0;    ///< per timing measurement (perf)
   /// Nonzero selects large-campus mode: ONE {4 shards, jobs} run at this
   /// session count (no invariance matrix, no baseline gate) reporting
   /// conservation, peak RSS and throughput.
@@ -140,11 +133,13 @@ GatedSuite loc_suite();
 /// peak RSS above `opt.campus_rss_budget_mb`. Returns a process exit code.
 int run_campus_large(const SuiteOptions& opt);
 
-/// The AP-scale throughput bench (`--suite scale`): 64 APs x 512 clients,
-/// exact batch-vs-serial agreement + throughput + thread-scaling ladder +
-/// steady-state alloc count, gated on the baseline's gate_scale_* keys when
-/// `opt.check` is set. Everything in the JSON except `timing_*` keys is
-/// byte-identical across `jobs` (0 means 1). Returns a process exit code.
-int run_scale_bench(const SuiteOptions& opt);
+/// `--suite perf`: runs every perf case, the 1/2/4/8-executor jobs ladder
+/// and the fp32 synthesis ratio, and writes the flat report to `opt.out`
+/// (pre-PR numbers and speedups folded in when `opt.baseline` has them).
+/// With `opt.check` it makes every perf verdict: each case against its
+/// gate_NAME_ns/_allocs band, and the fp32 and beamscan-tier ratios against
+/// gate_f32_min_speedup and gate_aoa_min_speedup (skipped loudly on hosts
+/// without the tiers). Returns a process exit code.
+int run_perf(const SuiteOptions& opt);
 
 }  // namespace mobiwlan::benchsuite

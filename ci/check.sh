@@ -5,9 +5,9 @@
 #   2. runtime determinism check: mobiwlan-bench at --jobs 1 vs --jobs 8
 #      must produce byte-identical JSON outside the "timing" lines;
 #   3. timing gates: ci/perf_gate.sh with a short per-case budget and the
-#      baseline's 25% tolerance band (microbench cases, the AP-scale
-#      throughput bench, the fp32 and AoA tier ratios, campus throughput
-#      and the loc lookup-rate floor), every section run before it fails;
+#      baseline's 25% tolerance band (the perf cases with the 512-link
+#      batched pass, the fp32 and AoA tier ratios, campus throughput and
+#      the loc lookup-rate floor), every section run before it fails;
 #   4. the gated suites: `ci/gate.sh NAME` for fidelity (paper-shape
 #      statistics), fault (graceful degradation under export loss), trace
 #      (record/replay determinism), campus (shard invariance across 1/4/16
@@ -17,13 +17,12 @@
 #   5. benchmark smoke: `python3 perfbench/run.py --smoke` re-drives a small
 #      campus and checks its digest against CampusSim, then replays a
 #      6-client trace strictly (outage absences, gate decay);
-#   6. scale determinism: the AP-scale bench JSON at --jobs 1 vs --jobs 8
-#      must be byte-identical outside the timing_* lines;
-#   7. ThreadSanitizer build (-DMOBIWLAN_SANITIZE=thread) running the
-#      runtime thread-pool, experiment, and parallel_for tests plus the
-#      campus mailbox stress test (concurrent SPSC producers against a
-#      live consumer);
-#   8. AddressSanitizer + UndefinedBehaviorSanitizer build
+#   6. ThreadSanitizer build (-DMOBIWLAN_SANITIZE=thread) running the
+#      runtime thread-pool, experiment, and parallel_for tests, the campus
+#      mailbox stress test (concurrent SPSC producers against a live
+#      consumer) and the channel batch equivalence test, whose 512-link
+#      floor is built and sampled on pools of width 1, 2 and 8;
+#   7. AddressSanitizer + UndefinedBehaviorSanitizer build
 #      (-DMOBIWLAN_SANITIZE=address,undefined) running the trace tests, which
 #      cover TraceSource's pooled CSI payloads and per-stream ring buffers,
 #      the beamscan AoA test, whose tier sweep drives every SIMD kernel
@@ -67,28 +66,17 @@ done
 echo "== benchmark smoke: campus re-drive digest + strict trace replay =="
 python3 perfbench/run.py --smoke
 
-echo "== scale determinism: --jobs 1 vs --jobs 8 =="
-./build/bench/mobiwlan-bench --suite scale --jobs 8 --perf-min-time 0.05 \
-  --out /tmp/mobiwlan_scale_a.json >/dev/null
-./build/bench/mobiwlan-bench --suite scale --jobs 1 --perf-min-time 0.05 \
-  --out /tmp/mobiwlan_scale_b.json >/dev/null
-if ! diff <(grep -v '"timing' /tmp/mobiwlan_scale_a.json) \
-          <(grep -v '"timing' /tmp/mobiwlan_scale_b.json); then
-  echo "FAIL: scale results differ between --jobs 8 and --jobs 1" >&2
-  exit 1
-fi
-echo "ok: scale results byte-identical modulo timing"
-
 echo "== ThreadSanitizer: runtime tests =="
 cmake -B build-tsan -S . -DMOBIWLAN_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-tsan -j"${JOBS}" \
   --target thread_pool_test experiment_test parallel_for_test \
-           mailbox_stress_test
+           mailbox_stress_test channel_batch_equivalence_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/thread_pool_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/experiment_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/parallel_for_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/mailbox_stress_test
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/channel_batch_equivalence_test
 
 echo "== AddressSanitizer + UBSan: trace, beamscan, locator, channel and beamforming tests =="
 cmake -B build-asan -S . -DMOBIWLAN_SANITIZE=address,undefined \

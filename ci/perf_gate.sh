@@ -1,20 +1,15 @@
 #!/usr/bin/env bash
 # ci/perf_gate.sh — the timing gates, against ci/perf_baseline.json.
 #
-# Six sections, each with its own verdict. Every section runs even when an
+# Three sections, each with its own verdict. Every section runs even when an
 # earlier one fails; a summary table follows and the script exits non-zero
 # at the end if any section failed.
-#   perf        `mobiwlan-bench --suite perf --check`: the per-op cases,
-#               failing on any case past the baseline's tolerance band
-#               (default 25%) or any hot loop that starts allocating;
-#   scale       `--suite scale --check`: the AP-scale throughput bench
-#               (64 APs x 512 clients), gating the batched sample time and
-#               the zero-allocation steady state. The bench also enforces,
-#               on every run, that a sharded batch pass equals a serial
-#               per-link sample_into loop bit for bit;
-#   fp32        the fp32-vs-fp64 batched synthesis ratio (host-relative);
-#   aoa         the beamscan AoA's active-tier-vs-scalar ratio
-#               (host-relative);
+#   perf        `mobiwlan-bench --suite perf --check`, which makes every
+#               perf verdict: the per-op cases (including the 512-link
+#               batched pass, scale_batch_sample) fail past the baseline's
+#               tolerance band (default 25%) or when a hot loop starts
+#               allocating, and the host-relative fp32-vs-fp64 synthesis
+#               and beamscan AoA tier ratios fail below their floors;
 #   campus      session-steps/s of the campus shard matrix;
 #   loc         the single-thread fingerprint lookup rate.
 # The absolute gate values are wall-clock numbers from one reference host;
@@ -22,7 +17,6 @@
 # failure means a real regression, not noise. Refresh after an intentional
 # perf change with:
 #   ./build/bench/mobiwlan-bench --suite perf
-#   ./build/bench/mobiwlan-bench --suite scale
 # and copy the new values into ci/perf_baseline.json as gate_*.
 #
 # PERF_MIN_TIME sets seconds per case/measurement (default 0.2 for a quick
@@ -33,7 +27,6 @@ cd "$(dirname "$0")/.."
 BENCH="${BENCH:-./build/bench/mobiwlan-bench}"
 MIN_TIME="${PERF_MIN_TIME:-0.2}"
 OUT="${PERF_OUT:-/tmp/mobiwlan_perf.json}"
-SCALE_OUT="${SCALE_OUT:-/tmp/mobiwlan_scale.json}"
 CAMPUS_PERF_OUT="${CAMPUS_PERF_OUT:-/tmp/mobiwlan_campus_perf.json}"
 LOC_PERF_OUT="${LOC_PERF_OUT:-/tmp/mobiwlan_loc_perf.json}"
 BASELINE=ci/perf_baseline.json
@@ -43,7 +36,7 @@ if [[ ! -x "${BENCH}" ]]; then
   exit 1
 fi
 # A stale report from an earlier run must not stand in for a failed one.
-rm -f "${OUT}" "${SCALE_OUT}" "${CAMPUS_PERF_OUT}" "${LOC_PERF_OUT}"
+rm -f "${OUT}" "${CAMPUS_PERF_OUT}" "${LOC_PERF_OUT}"
 
 SECTIONS=()
 VERDICTS=()
@@ -60,83 +53,6 @@ if "${BENCH}" --suite perf --check --perf-min-time "${MIN_TIME}" \
   verdict perf PASS
 else
   verdict perf FAIL
-fi
-
-# ---- AP-scale bench ---------------------------------------------------------
-if "${BENCH}" --suite scale --check --perf-min-time "${MIN_TIME}" \
-     --out "${SCALE_OUT}" --baseline "${BASELINE}"; then
-  verdict scale PASS
-else
-  verdict scale FAIL
-fi
-
-# ---- fp32 precision-tier section ------------------------------------------
-# The scale bench publishes the paired (interleaved, drift-immune) fp32-vs-
-# fp64 wideband batched-synthesis ratio at the host's active SIMD tier. On
-# AVX2-capable hosts that ratio must clear gate_f32_min_speedup; hosts
-# without the wider ISA tiers skip the corresponding check LOUDLY rather
-# than silently passing.
-HOST_AVX2="$(flat_key "${SCALE_OUT}" timing_host_avx2)"
-HOST_AVX512="$(flat_key "${SCALE_OUT}" timing_host_avx512)"
-
-if [[ -z "${HOST_AVX2}" ]]; then
-  echo "FAIL: fp32 host keys missing (scale json ${SCALE_OUT})" >&2
-  verdict fp32 FAIL
-elif [[ "${HOST_AVX2}" != "1" ]]; then
-  echo "fp32-check: SKIPPED — host lacks AVX2+FMA; the avx2 and avx512" \
-       "tiers cannot be exercised here and the >=1.6x speedup gate does" \
-       "not apply to the scalar tier" >&2
-  verdict fp32 SKIP
-else
-  if [[ "${HOST_AVX512}" != "1" ]]; then
-    echo "fp32-check: NOTE — host lacks AVX-512 (f/dq/vl); the avx512 tier" \
-         "falls back to avx2 and the ratio below is gated at the avx2 tier" >&2
-  fi
-  SPEEDUP="$(flat_key "${SCALE_OUT}" timing_f32_synthesis_speedup)"
-  MIN_SPEEDUP="$(flat_key "${BASELINE}" gate_f32_min_speedup)"
-  if [[ -z "${SPEEDUP}" || -z "${MIN_SPEEDUP}" ]]; then
-    echo "FAIL: fp32 speedup keys missing (scale json ${SCALE_OUT})" >&2
-    verdict fp32 FAIL
-  elif awk -v s="${SPEEDUP}" -v m="${MIN_SPEEDUP}" 'BEGIN { exit !(s >= m) }'; then
-    echo "fp32-check: batched synthesis fp32 speedup ${SPEEDUP}x >= ${MIN_SPEEDUP}x (active tier)"
-    verdict fp32 PASS
-  else
-    echo "FAIL: fp32 batched synthesis speedup ${SPEEDUP}x below the" \
-         "${MIN_SPEEDUP}x floor (ci/perf_baseline.json gate_f32_min_speedup)" >&2
-    verdict fp32 FAIL
-  fi
-fi
-
-# ---- beamscan AoA tier section ---------------------------------------------
-# The perf run above times the 181-point beamscan at the host's active tier
-# (aoa_sweep) and pinned to the portable scalar tier (aoa_sweep_scalar) and
-# publishes their ratio. Whenever the active tier is a vector one (an
-# AVX2-capable host, not forced to scalar) that ratio must clear
-# gate_aoa_min_speedup; otherwise both cases run the same scalar loop and the
-# check is skipped LOUDLY rather than silently passing.
-AOA_TIER="$(flat_key "${OUT}" timing_active_simd_tier)"
-if [[ -z "${AOA_TIER}" ]]; then
-  echo "FAIL: active-tier key missing (perf json ${OUT})" >&2
-  verdict aoa FAIL
-elif [[ "${AOA_TIER}" != "1" && "${AOA_TIER}" != "2" ]]; then
-  echo "aoa-check: SKIPPED — active SIMD tier is scalar (host lacks AVX2+FMA" \
-       "or MOBIWLAN_SIMD_TIER forces it); the >=1.5x beamscan tier-speedup" \
-       "gate does not apply to the scalar tier" >&2
-  verdict aoa SKIP
-else
-  AOA_SPEEDUP="$(flat_key "${OUT}" timing_aoa_tier_speedup)"
-  AOA_MIN="$(flat_key "${BASELINE}" gate_aoa_min_speedup)"
-  if [[ -z "${AOA_SPEEDUP}" || -z "${AOA_MIN}" ]]; then
-    echo "FAIL: beamscan tier-speedup keys missing (perf json ${OUT})" >&2
-    verdict aoa FAIL
-  elif awk -v s="${AOA_SPEEDUP}" -v m="${AOA_MIN}" 'BEGIN { exit !(s >= m) }'; then
-    echo "aoa-check: beamscan active-tier speedup ${AOA_SPEEDUP}x >= ${AOA_MIN}x over scalar"
-    verdict aoa PASS
-  else
-    echo "FAIL: beamscan active-tier speedup ${AOA_SPEEDUP}x below the" \
-         "${AOA_MIN}x floor (ci/perf_baseline.json gate_aoa_min_speedup)" >&2
-    verdict aoa FAIL
-  fi
 fi
 
 # ---- campus throughput section --------------------------------------------

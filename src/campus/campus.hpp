@@ -57,7 +57,7 @@
 
 namespace mobiwlan::campus {
 
-/// Campus-wide knobs. The defaults are the `--campus` bench scenario:
+/// Campus-wide knobs. The defaults are the `--suite campus` bench scenario:
 /// a 32x32 AP grid (1024 APs) absorbing 100k sessions over an 80-epoch
 /// arrival window, everyone departed by the 130-epoch horizon.
 struct CampusConfig {
@@ -86,7 +86,7 @@ struct CampusConfig {
 /// mechanism (per-path phase rotation, ToF trend, shadowing) is intact.
 ChannelConfig campus_channel_config();
 
-/// CampusConfig with campus_channel_config() applied — the `--campus`
+/// CampusConfig with campus_channel_config() applied — the `--suite campus`
 /// scenario defaults.
 CampusConfig campus_default_config();
 

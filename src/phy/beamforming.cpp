@@ -67,6 +67,17 @@ MuMimoResult mu_mimo_zero_forcing(const std::vector<CsiMatrix>& current,
   const std::size_t n_sc = current.front().n_subcarriers();
   if (k_clients > n_tx)
     throw std::invalid_argument("more clients than AP antennas");
+  // The precoder and SINR read receive chain 0 only, so every client must
+  // be a single-antenna n_tx x 1 x n_sc matrix of one common shape.
+  for (const auto* set : {&current, &feedback})
+    for (const CsiMatrix& h : *set) {
+      if (h.n_rx() != 1)
+        throw std::invalid_argument(
+            "mu_mimo_zero_forcing needs single-antenna clients (n_rx = 1)");
+      if (h.n_tx() != n_tx || h.n_subcarriers() != n_sc)
+        throw std::invalid_argument(
+            "CSI shape mismatch across clients in mu_mimo_zero_forcing");
+    }
 
   // Per-client noise power, anchored so that the client's band-average
   // single-antenna SNR (no precoding) equals snr0_db[k].

@@ -36,6 +36,10 @@ struct MuMimoResult {
 /// the stale channel matrix with equal per-client power split; each client's
 /// noise floor is `noise_relative_db[k]` below... i.e. the single-antenna SNR
 /// client k would see without precoding is `snr0_db[k]`.
+///
+/// Throws std::invalid_argument when the three lists differ in length, when
+/// K > n_tx, or when any matrix has n_rx != 1 or an n_tx / n_subcarriers
+/// that differs from `current.front()`.
 MuMimoResult mu_mimo_zero_forcing(const std::vector<CsiMatrix>& current,
                                   const std::vector<CsiMatrix>& feedback,
                                   const std::vector<double>& snr0_db);

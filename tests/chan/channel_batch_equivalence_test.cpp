@@ -3,17 +3,25 @@
 // Per-link sampling is a batch of one, so the batch range calls must be a
 // bitwise drop-in for N independent WirelessChannel::sample_into loops:
 // identical RNG draw order per link and identical bits in every output
-// (CSI, SNR, RSSI, ToF, distance), however the range is chunked. CMake
-// re-runs this binary under MOBIWLAN_FORCE_SCALAR=1 and each forced
-// MOBIWLAN_SIMD_TIER, which pins both sides to that tier's kernels.
+// (CSI, SNR, RSSI, ToF, distance), however the range is chunked and on
+// however many threads the chunks run. CMake re-runs this binary under
+// MOBIWLAN_FORCE_SCALAR=1 and each forced MOBIWLAN_SIMD_TIER, which pins
+// both sides to that tier's kernels.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <memory>
+#include <numbers>
 #include <vector>
 
 #include "chan/channel.hpp"
 #include "chan/channel_batch.hpp"
+#include "chan/trajectory.hpp"
 #include "channel_golden_cases.hpp"
+#include "runtime/experiment.hpp"
+#include "runtime/thread_pool.hpp"
+#include "util/alloc_count.hpp"
 
 namespace mobiwlan {
 namespace {
@@ -144,6 +152,103 @@ TEST(ChannelBatchEquivalence, StrongestLinkMatchesArgmaxScan) {
       }
     }
     EXPECT_EQ(got, want) << "t=" << t;
+  }
+}
+
+// The 64-AP x 512-client floor the scale_batch_sample perf case times:
+// an 8x8 AP grid at 30 m pitch, every client an independent scatterer field
+// walking at 1.2 m/s from a random start near its AP.
+constexpr std::size_t kApsPerSide = 8;
+constexpr std::size_t kNumAps = kApsPerSide * kApsPerSide;
+constexpr double kApPitchM = 30.0;
+constexpr std::size_t kFloorLinks = 512;
+constexpr std::size_t kShardGrain = 64;
+
+/// Builds the floor through Experiment::shard on `pool`, seeded at
+/// kMasterSeed; chunk-keyed substreams make it identical on any pool.
+std::vector<std::unique_ptr<WirelessChannel>> build_floor(
+    runtime::ThreadPool& pool) {
+  runtime::Experiment exp(pool, runtime::kMasterSeed);
+  std::vector<std::unique_ptr<WirelessChannel>> links(kFloorLinks);
+  exp.shard(kFloorLinks, kShardGrain,
+            [&](std::size_t begin, std::size_t end, Rng& rng) {
+              for (std::size_t i = begin; i < end; ++i) {
+                const std::size_t ap = i % kNumAps;
+                const Vec2 ap_pos{
+                    static_cast<double>(ap % kApsPerSide) * kApPitchM,
+                    static_cast<double>(ap / kApsPerSide) * kApPitchM};
+                ChannelConfig cfg;
+                cfg.activity = (i % 2 == 0) ? EnvironmentalActivity::kStrong
+                                            : EnvironmentalActivity::kWeak;
+                const Vec2 start{ap_pos.x + rng.uniform(-12.0, 12.0),
+                                 ap_pos.y + rng.uniform(-12.0, 12.0)};
+                const double heading =
+                    rng.uniform(0.0, 2.0 * std::numbers::pi);
+                auto traj = std::make_shared<LinearTrajectory>(
+                    start, Vec2{std::cos(heading), std::sin(heading)}, 1.2);
+                links[i] = std::make_unique<WirelessChannel>(
+                    cfg, ap_pos, std::move(traj), rng.split());
+              }
+            });
+  return links;
+}
+
+// One pass over the floor, sharded with ThreadPool::parallel_for (grain 64,
+// one Scratch per slot), must equal a serial sample_into loop over an
+// independently built copy bit for bit. The pooled copy is built and
+// sampled on pools of width 1, 2 and 8, the serial copy on width 1, so the
+// check also covers construction across pool widths. After one warm-up
+// pass, full-range passes must not allocate at all.
+TEST(ChannelBatchEquivalence, PoolShardedPassMatchesSerialLoop) {
+  ASSERT_TRUE(alloc_hook_active())
+      << "counting allocator not linked; the allocation check would be "
+         "vacuous";
+  for (const std::size_t width : {1u, 2u, 8u}) {
+    SCOPED_TRACE(::testing::Message() << "pool width " << width);
+    runtime::ThreadPool pool(width);
+    const auto links = build_floor(pool);
+    runtime::ThreadPool serial_pool(1);
+    const auto ref_links = build_floor(serial_pool);
+    ChannelBatch batch;
+    for (const auto& ch : links) batch.add_link(ch.get());
+
+    std::vector<ChannelBatch::Scratch> scratches(pool.size() + 1);
+    std::vector<ChannelSample> out(kFloorLinks);
+    ChannelBatch::Scratch ref_scratch;
+    ChannelSample ref;
+    for (const double t : {0.25, 0.5, 0.75, 1.0}) {
+      pool.parallel_for(kFloorLinks, kShardGrain,
+                        [&](std::size_t slot, std::size_t begin,
+                            std::size_t end) {
+                          batch.sample_range(t, begin, end, out.data(),
+                                             scratches[slot]);
+                        });
+      for (std::size_t i = 0; i < kFloorLinks; ++i) {
+        ref_links[i]->sample_into(t, ref, ref_scratch);
+        const ChannelSample& got = out[i];
+        ASSERT_EQ(got.csi.raw().size(), ref.csi.raw().size());
+        EXPECT_EQ(std::memcmp(got.csi.raw().data(), ref.csi.raw().data(),
+                              ref.csi.raw().size() * sizeof(cplx)),
+                  0)
+            << "CSI of link " << i << " at t=" << t;
+        EXPECT_EQ(got.rssi_dbm, ref.rssi_dbm) << "link " << i << " t=" << t;
+        EXPECT_EQ(got.tof_cycles, ref.tof_cycles) << "link " << i << " t=" << t;
+        EXPECT_EQ(got.snr_db, ref.snr_db) << "link " << i << " t=" << t;
+        EXPECT_EQ(got.true_distance_m, ref.true_distance_m)
+            << "link " << i << " t=" << t;
+      }
+    }
+
+    // The pooled passes sized each slot's scratch for some chunks only; one
+    // full-range warm-up pass sizes scratches[0] for every link.
+    double t = 2.0;
+    batch.sample_range(t, 0, kFloorLinks, out.data(), scratches[0]);
+    const std::uint64_t before = alloc_count();
+    for (int pass = 0; pass < 8; ++pass) {
+      t += 0.001;
+      batch.sample_range(t, 0, kFloorLinks, out.data(), scratches[0]);
+    }
+    EXPECT_EQ(alloc_count() - before, 0u);
   }
 }
 

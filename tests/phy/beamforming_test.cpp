@@ -184,6 +184,41 @@ TEST(MuMimoTest, MoreClientsThanAntennasThrows) {
   EXPECT_THROW(mu_mimo_zero_forcing(h, h, snr), std::invalid_argument);
 }
 
+// Zero-forcing reads receive chain 0 only, so a multi-antenna client (in
+// either list) is an error, not a silently truncated channel.
+TEST(MuMimoTest, MultiAntennaClientThrows) {
+  Rng rng(12);
+  const std::vector<CsiMatrix> single{random_csi(3, 1, 8, rng),
+                                      random_csi(3, 1, 8, rng)};
+  const std::vector<CsiMatrix> dual{random_csi(3, 1, 8, rng),
+                                    random_csi(3, 2, 8, rng)};
+  const std::vector<double> snr(2, 20.0);
+  EXPECT_THROW(mu_mimo_zero_forcing(dual, single, snr), std::invalid_argument);
+  EXPECT_THROW(mu_mimo_zero_forcing(single, dual, snr), std::invalid_argument);
+}
+
+TEST(MuMimoTest, AntennaCountMismatchThrows) {
+  Rng rng(13);
+  const std::vector<CsiMatrix> h{random_csi(3, 1, 8, rng),
+                                 random_csi(3, 1, 8, rng)};
+  const std::vector<CsiMatrix> odd{random_csi(3, 1, 8, rng),
+                                   random_csi(2, 1, 8, rng)};
+  const std::vector<double> snr(2, 20.0);
+  EXPECT_THROW(mu_mimo_zero_forcing(odd, h, snr), std::invalid_argument);
+  EXPECT_THROW(mu_mimo_zero_forcing(h, odd, snr), std::invalid_argument);
+}
+
+TEST(MuMimoTest, SubcarrierCountMismatchThrows) {
+  Rng rng(14);
+  const std::vector<CsiMatrix> h{random_csi(3, 1, 8, rng),
+                                 random_csi(3, 1, 8, rng)};
+  const std::vector<CsiMatrix> odd{random_csi(3, 1, 8, rng),
+                                   random_csi(3, 1, 4, rng)};
+  const std::vector<double> snr(2, 20.0);
+  EXPECT_THROW(mu_mimo_zero_forcing(odd, h, snr), std::invalid_argument);
+  EXPECT_THROW(mu_mimo_zero_forcing(h, odd, snr), std::invalid_argument);
+}
+
 TEST(MuMimoTest, EmptyClientsOk) {
   EXPECT_TRUE(mu_mimo_zero_forcing({}, {}, {}).sinr_db.empty());
 }

@@ -116,6 +116,15 @@ TEST(MuMimoSimTest, ServesTwoClients) {
   for (double mbps : r.per_client_mbps) EXPECT_GT(mbps, 0.5);
 }
 
+TEST(MuMimoSimTest, RejectsMultiAntennaClients) {
+  // Default scenarios have n_rx = 2; zero-forcing serves n_rx = 1 clients.
+  Rng rng(16);
+  Scenario a = make_scenario(MobilityClass::kStatic, rng);
+  Scenario b = make_scenario(MobilityClass::kMacro, rng);
+  EXPECT_THROW(simulate_mu_mimo({&a, &b}, short_config()),
+               std::invalid_argument);
+}
+
 TEST(MuMimoSimTest, StaleFeedbackHurtsMobileClientMost) {
   // Fig. 12(a): with a long fixed period, the macro client's share collapses
   // relative to a short period, while static clients barely move.
